@@ -200,6 +200,19 @@ class PathCache:
         costs = index.link_cost_list
         self.band_sharing = len(set(costs)) <= 1
 
+    def __getstate__(self) -> dict:
+        """Checkpoint the counters, not the trees.
+
+        ``entries`` is derived state — every tree is a deterministic
+        function of the index and the residuals at lookup time, and a
+        miss rebuilds it — yet it is four fifths of a pickled session.
+        A restored cache starts cold and refills through :meth:`lookup`;
+        ``hits``/``misses`` carry over.
+        """
+        state = self.__dict__.copy()
+        state["entries"] = {}
+        return state
+
     def lookup(self, source: int, load: float) -> _TreeEntry:
         """The shortest-path tree for ``(source, load)`` under current
         residuals — cached when a memoized tree's band covers it.

@@ -289,7 +289,7 @@ class RuleSnapshotStaleState(ProjectRule):
                             module,
                             statement,
                             f"class-level mutable default {info.name}."
-                            f"{name} — deepcopy/pickle snapshots capture "
+                            f"{name} — pickled snapshots capture "
                             "instance state only, so a restored session "
                             "aliases whatever the live class object has "
                             "mutated since; make it an instance attribute "
@@ -307,7 +307,7 @@ class RuleSnapshotStaleState(ProjectRule):
                             write.node,
                             f"self.{write.attr} aliases module-level "
                             f"mutable {aliased!r} — the snapshot "
-                            "deep-copies the alias, so a restored session "
+                            "pickles the alias by value, so a restored session "
                             "silently diverges from the live module "
                             "state; copy it explicitly or pass it in",
                             method.name if method is not None else info.name,

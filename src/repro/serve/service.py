@@ -289,9 +289,11 @@ class EmbedderService:
     def snapshot(self) -> SessionSnapshot:
         """Checkpoint the underlying session (slot boundaries only).
 
-        The rolling metrics stream is operational state, not simulation
-        state — it is *not* part of the checkpoint; a service resumed
-        from the snapshot starts a fresh stream.
+        One pickle of the session's durable state, held as bytes (see
+        :class:`~repro.sim.session.SessionSnapshot`). The rolling
+        metrics stream is operational state, not simulation state — it
+        is *not* part of the checkpoint; a service resumed from the
+        snapshot starts a fresh stream.
         """
         return self.session.snapshot()
 
@@ -299,7 +301,11 @@ class EmbedderService:
     def restore(
         cls, snapshot: SessionSnapshot, **service_kwargs: Any
     ) -> "EmbedderService":
-        """A new service over a session resumed from ``snapshot``."""
+        """A new service over a session resumed from ``snapshot``.
+
+        The resumed session's path cache starts cold and refills as
+        offers arrive; decisions are unaffected.
+        """
         return cls(SimulationSession.restore(snapshot), **service_kwargs)
 
     # -- internals -----------------------------------------------------------

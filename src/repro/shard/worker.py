@@ -82,7 +82,9 @@ class WorkerCheckpoint:
 
     ``session_bytes`` is the shard session serialized through
     :meth:`~repro.sim.session.SessionSnapshot.to_bytes` — the certified
-    pickle boundary; admission travels as a registry name plus factory
+    pickle boundary: one pickle of the session's durable state, so a
+    worker booted from it starts with a cold path cache and decides
+    identically. Admission travels as a registry name plus factory
     params (policy *instances* are operational objects and stay with
     their process). ``clock`` is the slot the restored service resumes
     at, recorded so a restore can assert it matches the frontend clock.
@@ -103,7 +105,13 @@ class WorkerCheckpoint:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "WorkerCheckpoint":
-        checkpoint = pickle.loads(payload)
+        try:
+            checkpoint = pickle.loads(payload)
+        except Exception as error:  # unpickling garbage raises a family of types
+            raise ShardError(
+                "payload does not contain a WorkerCheckpoint "
+                f"({type(error).__name__}: {error})"
+            ) from error
         if not isinstance(checkpoint, WorkerCheckpoint):
             raise ShardError(
                 "payload does not contain a WorkerCheckpoint"

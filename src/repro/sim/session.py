@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import copy
+import gc
+import io
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
@@ -93,42 +94,100 @@ class SlotReport:
         return len(self.decisions) - self.num_accepted
 
 
+#: First element of the header pickled ahead of a checkpoint's body.
+_SNAPSHOT_TAG = "repro.SessionSnapshot/1"
+
+
 @dataclass(frozen=True)
 class SessionSnapshot:
     """An opaque checkpoint of a session at a slot boundary.
 
-    Holds a deep copy of the whole session (algorithm residuals, pending
-    arrivals, event cursor, accumulated metrics), so it is immune to
-    later mutation of the live session; :meth:`SimulationSession.restore`
-    deep-copies again, so one snapshot can seed any number of resumed
-    runs. ``to_bytes()``/``from_bytes()`` round-trip through pickle for
-    on-disk checkpoints.
+    Holds the session **serialized once**: a small pickled header
+    ``(tag, clock, algorithm name, body length)`` followed by the pickled
+    session. The bytes are immutable, so the checkpoint is isolated from
+    the live session by construction, and every
+    :meth:`SimulationSession.restore` unpickles a fresh session from
+    them — one snapshot can seed any number of resumed runs.
+    ``to_bytes()`` returns those bytes as they are; ``from_bytes()``
+    reads only the header, so ``clock``/``algorithm_name`` are answered
+    and a foreign or truncated payload is refused without loading the
+    session.
+
+    Only *durable* state is in the payload — residuals, active set,
+    pending arrivals, event cursor, decision log, metric arrays,
+    counters. Derived caches that rebuild from substrate + residual (the
+    greedy path cache's memoized trees) are left behind by their owner's
+    ``__getstate__``; a restored session starts with them cold and
+    decides identically.
     """
 
-    _session: "SimulationSession"
-
-    @property
-    def clock(self) -> int:
-        """The next slot the restored session will execute."""
-        return self._session.clock
-
-    @property
-    def algorithm_name(self) -> str:
-        return self._session.algorithm.name
+    _payload: bytes = field(repr=False)
+    #: The next slot the restored session will execute.
+    clock: int
+    algorithm_name: str
 
     def to_bytes(self) -> bytes:
-        """Serialize the checkpoint (pickle) for on-disk persistence."""
-        return pickle.dumps(self._session, protocol=pickle.HIGHEST_PROTOCOL)
+        """The serialized checkpoint, for on-disk persistence or IPC."""
+        return self._payload
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "SessionSnapshot":
         """Rebuild a snapshot previously serialized with :meth:`to_bytes`."""
-        session = pickle.loads(payload)
-        if not isinstance(session, SimulationSession):
-            raise SimulationError(
-                "payload does not contain a SimulationSession checkpoint"
-            )
-        return cls(session)
+        clock, algorithm_name, _ = _parse_header(payload)
+        return cls(payload, clock, algorithm_name)
+
+
+def _parse_header(payload: bytes) -> tuple[int, str, int]:
+    """``(clock, algorithm name, body offset)`` of a serialized checkpoint.
+
+    Anything that is not a complete checkpoint — empty, truncated, or
+    some other pickle — raises :class:`~repro.errors.SimulationError`.
+    """
+    stream = io.BytesIO(payload)
+    try:
+        header = pickle.load(stream)
+    except Exception as error:  # unpickling garbage raises a family of types
+        raise SimulationError(
+            "payload does not contain a SimulationSession checkpoint "
+            f"({type(error).__name__}: {error})"
+        ) from error
+    if not (
+        isinstance(header, tuple)
+        and len(header) == 4
+        and header[0] == _SNAPSHOT_TAG
+    ):
+        raise SimulationError(
+            "payload does not contain a SimulationSession checkpoint"
+        )
+    _, clock, algorithm_name, body_length = header
+    body_at = stream.tell()
+    if len(payload) - body_at != body_length:
+        raise SimulationError(
+            f"session checkpoint is truncated: its header promises "
+            f"{body_length} body bytes, the payload holds "
+            f"{len(payload) - body_at}"
+        )
+    return clock, algorithm_name, body_at
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for one (un)pickle call.
+
+    Unpickling only allocates, and a pickler's memo holds every
+    temporary until the dump ends, so neither frees anything the
+    collector could reclaim — but their object counts keep tripping
+    collections that walk the whole heap each time: 75–85 % of a
+    restore's wall time on the benchmark sessions. The collector is
+    left as it was found.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class SimulationSession:
@@ -671,28 +730,40 @@ class SimulationSession:
     def snapshot(self) -> SessionSnapshot:
         """Checkpoint the full mid-run state at a slot boundary.
 
+        The session is pickled once, here; the snapshot holds the bytes.
         Everything the run depends on is captured by value — algorithm
-        residuals (and the greedy path cache), pending arrivals, the
-        event cursor, accumulated decisions and metric arrays — so
-        restoring and continuing is bit-identical to never having
-        stopped. Snapshots are only available between slots (open slots
-        hold half-applied state).
+        residuals, pending arrivals, the event cursor, accumulated
+        decisions and metric arrays — so restoring and continuing is
+        bit-identical to never having stopped. Rebuildable caches stay
+        behind (see :class:`SessionSnapshot`). Snapshots are only
+        available between slots (open slots hold half-applied state).
         """
         if self._slot_open:
             raise SimulationError(
                 f"slot {self._clock} is open; close_slot() before snapshot()"
             )
-        return SessionSnapshot(copy.deepcopy(self))
+        with _collector_paused():
+            body = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        name = self.algorithm.name
+        header = pickle.dumps(
+            (_SNAPSHOT_TAG, self._clock, name, len(body)),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        return SessionSnapshot(header + body, self._clock, name)
 
     @classmethod
     def restore(cls, snapshot: SessionSnapshot) -> "SimulationSession":
         """A live session resumed from a checkpoint.
 
-        The snapshot itself stays pristine — restore deep-copies, so the
-        same checkpoint can seed several resumed runs (e.g. replaying a
-        tail under different what-if submissions).
+        One ``pickle.loads`` of the snapshot's bytes; the snapshot itself
+        is immutable, so the same checkpoint can seed several resumed
+        runs (e.g. replaying a tail under different what-if
+        submissions). The restored session's derived caches start cold.
         """
-        session = copy.deepcopy(snapshot._session)
+        payload = snapshot._payload
+        _, _, body_at = _parse_header(payload)
+        with _collector_paused():
+            session = pickle.loads(memoryview(payload)[body_at:])
         if not isinstance(session, cls):
             raise SimulationError(
                 f"snapshot holds a {type(session).__name__}, "

@@ -1,11 +1,11 @@
 """RPS103 corpus: checkpoint-stale state on snapshot-crossing classes.
 
-``SessionSnapshot`` captures *instance* state via deepcopy/pickle.
+``SessionSnapshot`` captures *instance* state: one pickle of the session.
 Class-level mutable defaults are shared across instances and live on the
 class object — a restored session aliases whatever the live process
 mutated since the checkpoint. Instance attributes that alias a
-module-level mutable are deep-copied at snapshot time, so the restored
-copy silently diverges from the live module state.
+module-level mutable are pickled by value at snapshot time, so the
+restored copy silently diverges from the live module state.
 """
 
 _PATH_CACHE = {}  # module-level mutable the session must not alias

@@ -26,6 +26,8 @@ and the event tally.
 
 from __future__ import annotations
 
+import io
+import pickle
 import random
 
 import numpy as np
@@ -265,7 +267,11 @@ def _assert_session_identical(streamed, batch) -> None:
 
 
 def _check_step_and_restore(algorithm_name: str, profile: str) -> None:
-    """Step-driven and checkpoint/restored sessions ≡ batch simulate()."""
+    """Step-driven and checkpoint/restored sessions ≡ batch simulate().
+
+    The resumed session starts with a cold path cache (snapshots carry
+    durable state only), the uninterrupted one keeps its warm one.
+    """
     scenario = _session_scenario(algorithm_name)
     slots = scenario.config.online_slots
     online = scenario.online_requests()
@@ -356,7 +362,15 @@ class TestSessionOracle:
 
 
 class TestSnapshotPickleRoundTrip:
-    """Serialized checkpoints, all algorithms × profiles, bit-identical."""
+    """Serialized checkpoints, all algorithms × profiles, bit-identical.
+
+    A snapshot *is* the serialized session and leaves the greedy path
+    cache behind, so every restore leg in this module — this class and
+    :class:`TestSessionOracle` alike — is a restore-with-cold-cache ≡
+    uninterrupted-run leg: the checkpoint boundary proves what the
+    fast-vs-reference legs above claim, that decisions do not depend on
+    what the cache holds.
+    """
 
     @pytest.mark.parametrize("profile", ALL_PROFILES)
     @pytest.mark.parametrize(
@@ -375,3 +389,51 @@ class TestSnapshotPickleRoundTrip:
     def test_remaining_algorithms_pickle_round_trip(self, algorithm, profile):
         _check_pickle_round_trip(algorithm, profile)
 
+
+def _classes_in(payload: bytes) -> set[str]:
+    """Names of every class a checkpoint's header + body pickles refer to."""
+    seen: set[str] = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module: str, name: str):
+            seen.add(name)
+            return super().find_class(module, name)
+
+    stream = io.BytesIO(payload)
+    Recorder(stream).load()  # header
+    assert isinstance(Recorder(stream).load(), SimulationSession)
+    assert stream.tell() == len(payload)
+    return seen
+
+
+class TestSnapshotPayload:
+    """What a checkpoint contains, measured on the bytes themselves."""
+
+    #: Derived state that must stay behind: memoized and throwaway
+    #: shortest-path trees, and the batch kernel's speculation window.
+    DERIVED = {"_TreeEntry", "_DirectTree", "BatchPlan"}
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_payload_holds_no_derived_state(self, algorithm):
+        scenario = _session_scenario(algorithm)
+        session = SimulationSession(
+            make_algorithm(algorithm, scenario), scenario.online_requests(),
+            scenario.config.online_slots,
+        )
+        session.run_until(3)
+        context = getattr(session.algorithm, "greedy_context", None)
+        if context is not None:
+            # Warm the cache whatever the bypass controller chose.
+            for source in range(context.index.num_nodes):
+                context.paths.lookup(source, 1.0)
+            assert context.paths.entries
+
+        snapshot = session.snapshot()
+        payload = snapshot.to_bytes()
+        seen = _classes_in(payload)
+        assert "SimulationSession" in seen
+        assert not seen & self.DERIVED
+
+        # Nothing derived leaks back in through a restore either.
+        again = SimulationSession.restore(snapshot).snapshot().to_bytes()
+        assert abs(len(again) - len(payload)) <= 0.01 * len(payload)

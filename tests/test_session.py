@@ -8,6 +8,9 @@ submission, partial results, snapshot semantics, and the resumable
 event cursor.
 """
 
+import gc
+import pickle
+
 import numpy as np
 import pytest
 
@@ -301,11 +304,75 @@ class TestSnapshot:
         resumed = SimulationSession.restore(revived).run()
         assert resumed.decisions == full.decisions
 
-    def test_from_bytes_rejects_foreign_payload(self):
-        import pickle
-
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda good: pickle.dumps({"not": "a session"}),
+            lambda good: b"",
+            lambda good: good[: len(good) // 2],
+            lambda good: good[:10],
+            lambda good: b"\x00not a pickle at all",
+        ],
+        ids=["foreign", "empty", "truncated-body", "truncated-header",
+             "garbage"],
+    )
+    def test_from_bytes_rejects_foreign_payload(self, session, corrupt):
+        session.run_until(3)
+        payload = corrupt(session.snapshot().to_bytes())
         with pytest.raises(SimulationError, match="checkpoint"):
-            SessionSnapshot.from_bytes(pickle.dumps({"not": "a session"}))
+            SessionSnapshot.from_bytes(payload)
+
+    def test_snapshot_bytes_are_fixed_at_capture(self, session):
+        session.run_until(3)
+        snapshot = session.snapshot()
+        payload = snapshot.to_bytes()
+        session.run()  # the live session moves on
+        assert snapshot.to_bytes() is payload
+        assert SessionSnapshot.from_bytes(payload) == snapshot
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_checkpointing_leaves_the_collector_as_found(
+        self, session, collecting
+    ):
+        """snapshot() and restore() pause the cyclic GC around their one
+        pickle call and put it back the way it was."""
+        if not collecting:
+            gc.disable()
+        try:
+            snapshot = session.snapshot()
+            assert gc.isenabled() == collecting
+            SimulationSession.restore(snapshot)
+            assert gc.isenabled() == collecting
+        finally:
+            gc.enable()
+
+    def test_restored_path_cache_starts_cold(self, line_substrate, chain_app):
+        # cache_mode="banded" pins the band cache on, so trees exist to
+        # be left behind on this 4-node substrate.
+        algorithm = make_quickg(
+            line_substrate, [chain_app], greedy_cache_mode="banded"
+        )
+        session = SimulationSession(
+            algorithm, [_request(i, arrival=i % 4) for i in range(8)], 10
+        )
+        session.run_until(4)
+        live = algorithm.greedy_context
+        assert live.paths.entries and live.paths.misses > 0
+        live.bypass.switches = 3  # controller state is durable too
+
+        resumed = SimulationSession.restore(session.snapshot())
+        context = resumed.algorithm.greedy_context
+        # Derived: the trees stay behind. Durable: the counters travel.
+        assert context.paths.entries == {}
+        assert live.paths.entries, "snapshotting must not empty the live cache"
+        assert context.stats() == live.stats()  # hits, misses, bypass
+        assert context.stats()["mode_switches"] == 3
+        # The first lookup after restore is a miss that refills the cache.
+        source = context.index.node_index["edge-a"]
+        context.paths.lookup(source, 1.0)
+        assert context.paths.misses == live.paths.misses + 1
+        assert list(context.paths.entries) == [source]
+        assert resumed.run().decisions == session.run().decisions
 
     def test_restored_session_accepts_new_submissions(
         self, line_substrate, chain_app

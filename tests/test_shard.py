@@ -7,20 +7,25 @@ kill-and-restore failover on process workers.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.api import Experiment
+from repro.baselines.quickg import make_quickg
 from repro.errors import ShardError, SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.registry import register_shard_policy, shard_policy_registry
-from repro.serve import poisson_offers
+from repro.serve import EmbedderService, poisson_offers
 from repro.shard import (
     BoundaryLedger,
+    InlineShardWorker,
     ShardedEmbedderService,
+    WorkerCheckpoint,
     partition_substrate,
     restrict_plan,
 )
+from repro.sim.session import SimulationSession
 from repro.substrate import make_citta_studi
 from repro.utils.rng import child_rng, make_rng
 from repro.workload.request import Request
@@ -396,6 +401,15 @@ class TestMetrics:
 # -- failover ------------------------------------------------------------------
 
 
+def _line_checkpoint(substrate, app) -> WorkerCheckpoint:
+    """A slot-2 checkpoint of a QUICKG service on the 4-node line."""
+    service = EmbedderService(
+        SimulationSession(make_quickg(substrate, [app]), (), 6)
+    )
+    service.advance_to(2)
+    return WorkerCheckpoint.capture(0, service, "always", {})
+
+
 class TestFailover:
     def test_kill_and_restore_is_bit_identical(self):
         config = _config()
@@ -504,6 +518,36 @@ class TestFailover:
             # An inline worker cannot be killed at all.
             with pytest.raises(ShardError, match="cannot be"):
                 service.kill_worker(0)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda good: pickle.dumps({"not": "a checkpoint"}),
+            lambda good: b"",
+            lambda good: good[: len(good) // 2],
+            lambda good: b"\x00not a pickle at all",
+        ],
+        ids=["foreign", "empty", "truncated", "garbage"],
+    )
+    def test_from_bytes_rejects_foreign_payload(
+        self, corrupt, line_substrate, chain_app
+    ):
+        good = _line_checkpoint(line_substrate, chain_app).to_bytes()
+        assert WorkerCheckpoint.from_bytes(good).clock == 2
+        with pytest.raises(ShardError, match="WorkerCheckpoint"):
+            WorkerCheckpoint.from_bytes(corrupt(good))
+
+    def test_truncated_session_bytes_fail_the_boot(
+        self, line_substrate, chain_app
+    ):
+        """The session payload inside an intact checkpoint is validated
+        at boot, from its header — before any session is unpickled."""
+        good = _line_checkpoint(line_substrate, chain_app)
+        bad = dataclasses.replace(
+            good, session_bytes=good.session_bytes[:-100]
+        )
+        with pytest.raises(SimulationError, match="truncated"):
+            InlineShardWorker(WorkerCheckpoint.from_bytes(bad.to_bytes()))
 
 
 # -- facade + lifecycle --------------------------------------------------------
