@@ -5,17 +5,17 @@ Measures three things on the fig16-style workload and records them to a
 regressions show up as a time series across commits):
 
 * engine throughput — slots/sec and requests/sec of whole simulations
-  through the incremental fast path (OLIVE and QUICKG), recorded as the
+  through the indexed fast path (OLIVE and QUICKG), recorded as the
   best of :data:`ENGINE_REPEATS` runs per engine (decisions are
   identical across repeats; only scheduler noise varies);
 * engine speedup — the same simulations through the frozen pre-fast-path
   reference (:mod:`repro.core.greedy_reference`, scalar Dijkstra +
   O(nodes) scan per request), with **bit-identical decisions asserted**
   on the exact benchmark workload;
-* embed-call speedup — the pure GREEDYEMBED step in isolation (cached
-  paths + vectorized scoring vs full reference recomputation), which is
-  where the incremental design shows its raw factor without the
-  per-request Decision/bookkeeping overhead both engines share.
+* embed-call speedup — the pure GREEDYEMBED step in isolation (indexed
+  Dijkstra + profile-driven scoring vs the dict-keyed reference),
+  without the per-request Decision/bookkeeping overhead both engines
+  share.
 
 Smoke mode (``REPRO_BENCH_FAST=1``, used by CI) shrinks the workload but
 keeps the equivalence assertion — a decision divergence fails the build
@@ -42,14 +42,16 @@ from repro.sim.engine import simulate
 TRAJECTORY_FILE = RESULTS_DIR / "BENCH_hotpath.json"
 
 #: Floors for full local runs — actual speedups are recorded, not
-#: asserted, beyond these. Since the batched embed kernel + adaptive
-#: PathCache bypass landed, **no engine row may be slower than the
-#: reference** (the 1.0 floor applies to every recorded engine); OLIVE
-#: and QUICKG additionally keep their measured headroom. Smoke mode
-#: skips the wall-clock gates entirely (shared CI runners are flaky);
-#: the decision-equivalence assertion always applies.
+#: asserted, beyond these. **No engine row may be slower than the
+#: reference** (the 1.0 floor applies to every recorded engine); QUICKG
+#: additionally keeps measured headroom. The embed-call floor is the
+#: lowest of ten quiet-box readings of the final code (2.43–2.53) minus
+#: their 0.10 spread; with both cores contended the ratio swings
+#: 1.8–3.0, so no floor near the measurement survives a loaded box.
+#: Smoke mode skips the wall-clock gates entirely (shared CI runners are
+#: flaky); the decision-equivalence assertion always applies.
 MIN_ENGINE_SPEEDUP = {"OLIVE": 1.0, "QUICKG": 1.3}
-MIN_EMBED_SPEEDUP = 2.0
+MIN_EMBED_SPEEDUP = 2.3
 
 #: Whole-sim repetitions per engine (full runs): the recorded runtime is
 #: the best of these, a repeatable cost estimate rather than one noisy
@@ -117,19 +119,15 @@ def test_hotpath_microbenchmark(benchmark):
     online = scenario.online_requests()
     slots = config.online_slots
 
-    expected_per_slot = len(online) / max(slots, 1)
-
     def algorithms(fast):
         return {
             "OLIVE": OliveAlgorithm(
                 scenario.substrate, scenario.apps, scenario.plan,
                 efficiency=scenario.efficiency, use_fast_greedy=fast,
-                expected_offers_per_slot=expected_per_slot,
             ),
             "QUICKG": make_quickg(
                 scenario.substrate, scenario.apps, scenario.efficiency,
                 use_fast_greedy=fast,
-                expected_offers_per_slot=expected_per_slot,
             ),
         }
 
@@ -180,9 +178,6 @@ def test_hotpath_microbenchmark(benchmark):
             "runtime_seconds": fast.runtime_seconds,
             "reference_runtime_seconds": reference.runtime_seconds,
             "speedup_vs_reference": speedup,
-            # The adaptive-bypass calibration and batch-kernel telemetry
-            # for this exact run (payoff scale, mode switches, rows the
-            # vectorized kernel served vs scalar fallbacks).
             "greedy": fast_algorithms[name].greedy_context.stats(),
         }
         lines.append(

@@ -82,21 +82,13 @@ def _assert_identical(ours, batch, label):
     assert np.array_equal(ours.resource_cost, batch.resource_cost)
 
 
-def _make_algorithms(scenario, names, expected_per_slot):
-    algorithms = {}
-    for name in names:
-        if name == "OLIVE":
-            algorithms[name] = OliveAlgorithm(
-                scenario.substrate, scenario.apps, scenario.plan,
-                efficiency=scenario.efficiency,
-                expected_offers_per_slot=expected_per_slot,
-            )
-        else:
-            algorithms[name] = make_quickg(
-                scenario.substrate, scenario.apps, scenario.efficiency,
-                expected_offers_per_slot=expected_per_slot,
-            )
-    return algorithms
+def _make_algorithm(scenario, name):
+    if name == "OLIVE":
+        return OliveAlgorithm(
+            scenario.substrate, scenario.apps, scenario.plan,
+            efficiency=scenario.efficiency,
+        )
+    return make_quickg(scenario.substrate, scenario.apps, scenario.efficiency)
 
 
 def test_serve_overhead(benchmark):
@@ -113,24 +105,19 @@ def test_serve_overhead(benchmark):
     # is ±15-20%, larger than the overheads the gates bound; five
     # rotated rounds make the recorded minima repeatable.
     rounds = 1 if FAST else 5
-    expected_per_slot = len(online) / max(slots, 1)
     by_slot: dict[int, list] = {}
     for request in sorted(online):
         by_slot.setdefault(request.arrival, []).append(request)
 
     def run_batch(name):
-        algorithm = _make_algorithms(
-            scenario, (name,), expected_per_slot
-        )[name]
+        algorithm = _make_algorithm(scenario, name)
         with _quiesced_gc():
             start = time.perf_counter()
             result = simulate(algorithm, online, slots)
             return result, time.perf_counter() - start
 
     def run_stepped(name):
-        algorithm = _make_algorithms(
-            scenario, (name,), expected_per_slot
-        )[name]
+        algorithm = _make_algorithm(scenario, name)
         session = SimulationSession(algorithm, online, slots)
         with _quiesced_gc():
             start = time.perf_counter()
@@ -139,9 +126,7 @@ def test_serve_overhead(benchmark):
             return session.result(), time.perf_counter() - start
 
     def run_served(name):
-        algorithm = _make_algorithms(
-            scenario, (name,), expected_per_slot
-        )[name]
+        algorithm = _make_algorithm(scenario, name)
         session = SimulationSession(algorithm, [], slots)
         service = EmbedderService(session)
         with _quiesced_gc():

@@ -21,8 +21,6 @@ def make_quickg(
     apps: list[Application],
     efficiency: EfficiencyModel | None = None,
     use_fast_greedy: bool = True,
-    greedy_cache_mode: str = "adaptive",
-    expected_offers_per_slot: float | None = None,
 ) -> OliveAlgorithm:
     """Build the QUICKG baseline for one simulation run."""
     return OliveAlgorithm(
@@ -34,6 +32,4 @@ def make_quickg(
         allow_split_greedy=False,
         name="QUICKG",
         use_fast_greedy=use_fast_greedy,
-        greedy_cache_mode=greedy_cache_mode,
-        expected_offers_per_slot=expected_offers_per_slot,
     )

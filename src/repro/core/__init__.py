@@ -7,7 +7,7 @@ This package holds the online machinery shared by OLIVE and the baselines:
 * :mod:`repro.core.residual` — residual substrate capacity Res(S, t, x)
   (Eq. 16) and the residual plan Res(y, t, x) (Eq. 17);
 * :mod:`repro.core.greedy` — the collocated least-cost GREEDYEMBED
-  (incremental fast path: memoized path trees + vectorized scoring);
+  (indexed fast path: one Dijkstra per route + profile-driven scoring);
 * :mod:`repro.core.greedy_reference` — the frozen scalar GREEDYEMBED the
   decision-equivalence tests compare against;
 * :mod:`repro.core.profile` — per-application static quantities
@@ -18,7 +18,7 @@ This package holds the online machinery shared by OLIVE and the baselines:
 """
 
 from repro.core.embedding import ElementLoads, Embedding, compute_loads
-from repro.core.greedy import GreedyContext, PathCache, greedy_embed
+from repro.core.greedy import GreedyContext, greedy_embed
 from repro.core.olive import Decision, OliveAlgorithm
 from repro.core.profile import (
     AppProfile,
@@ -36,7 +36,6 @@ __all__ = [
     "PlanResidual",
     "greedy_embed",
     "GreedyContext",
-    "PathCache",
     "AppProfile",
     "AppProfileCache",
     "LoadsRecipe",

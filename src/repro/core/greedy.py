@@ -1,30 +1,19 @@
 """GREEDYEMBED: collocated least-cost embedding (Algorithm 2, lines 31–34).
 
-This module is the *incremental* implementation of the paper's
-GREEDYEMBED. The scalar reference (one full Dijkstra plus an O(nodes)
-host scan per arriving request) lives unchanged in
-:mod:`repro.core.greedy_reference`; this fast path produces bit-identical
-embeddings from three ingredients:
+One capacity-constrained shortest-path run from the ingress plus one host
+scan per arriving request, exactly as the paper states it. The scalar
+reference (dict-keyed Dijkstra, O(nodes) scan over ``NodeId`` keys) lives
+unchanged in :mod:`repro.core.greedy_reference`; this module produces
+bit-identical embeddings faster from two ingredients:
 
-* **Memoized shortest-path trees** (:class:`PathCache`). The
-  capacity-constrained Dijkstra from an ingress depends on the residual
-  state only through the per-link feasibility predicate
-  ``residual ≥ route_load`` — link weights are static costs scaled by the
-  route load. A cached tree therefore stays valid for every request whose
-  route load falls in the entry's *feasibility band* ``(lo, hi]``, where
-  ``hi`` is the smallest residual among feasible links and ``lo`` the
-  largest among infeasible ones. Per-request distances are *replayed*
-  along the cached tree with the request's own route load, reproducing
-  the reference accumulation exactly.
-* **Dirty-set invalidation.** :class:`~repro.core.residual.ResidualState`
-  logs every link whose residual changes (``allocate``/``release``/view
-  writes). The cache sweeps that log lazily, tightening each entry's band
-  only for the touched links — a tree is *not* discarded when a link on
-  it changes residual but stays on the same side of the entry's
-  feasibility split; when the conservative band no longer covers a
-  request, the band is re-anchored exactly (two masked reductions — an
-  exact band covering the load certifies the feasibility vector) before
-  any Dijkstra is re-run.
+* **One indexed Dijkstra per route** (:meth:`GreedyContext._route`):
+  :func:`~repro.utils.paths.indexed_capacity_dijkstra` over the
+  :class:`~repro.substrate.network.SubstrateIndex` adjacency, reading the
+  live ``residual.link_residual`` list inside the relaxation (a link is
+  feasible iff its residual covers the route load). Same relaxation
+  order, heap tie-breaking and arithmetic as the reference Dijkstra, so
+  the tree and its distances are bit-equal. Nothing is memoized between
+  requests.
 * **Profile-driven host scoring** over
   :class:`~repro.core.profile.AppProfile` load data: a native-float scan
   in substrate order when η is node-independent, numpy expressions for
@@ -49,275 +38,16 @@ import numpy as np
 
 from repro.apps.application import ROOT_ID, Application
 from repro.apps.efficiency import EfficiencyModel
-from repro.core.batch_kernel import BACKEND_NAME, BatchPlan
 from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.profile import AppProfile, AppProfileCache
 from repro.core.residual import ResidualState
-from repro.substrate.network import SubstrateIndex, SubstrateNetwork
+from repro.substrate.network import SubstrateNetwork
 from repro.utils.paths import indexed_capacity_dijkstra
 from repro.workload.request import Request
 
-#: Cached shortest-path trees kept per source node; bands rarely overlap
-#: for more than a couple of load regimes, so a small bound suffices.
-MAX_TREES_PER_SOURCE = 8
 
-
-class _TreeEntry:
-    """One memoized shortest-path tree rooted at ``source``.
-
-    ``feasible`` is the per-link feasibility vector the tree was computed
-    under; ``(lo, hi]`` is the route-load band for which the *current*
-    residuals reproduce that vector. ``order``/``parents``/``pcosts``
-    describe the tree in settle order for exact distance replay;
-    ``parent_node``/``parent_link`` support path reconstruction.
-    """
-
-    __slots__ = (
-        "source", "feasible", "lo", "hi", "cursor",
-        "order", "parents", "pcosts", "parent_node", "parent_link",
-        "scan_nodes", "depth",
-    )
-
-    def __init__(self, source, feasible, order, parent_node, parent_link,
-                 pcost_of_link):
-        self.source = source
-        self.feasible = feasible
-        self.lo = -math.inf
-        self.hi = math.inf
-        #: Position in the residual's dirty log up to which ``lo``/``hi``
-        #: reflect link-residual changes.
-        self.cursor = 0
-        self.order = order
-        self.parent_node = parent_node
-        self.parent_link = parent_link
-        # Tree edges in settle order (source excluded), as plain floats.
-        self.parents = [parent_node[v] for v in order[1:]]
-        self.pcosts = [pcost_of_link[parent_link[v]] for v in order[1:]]
-        #: Reached nodes in ascending index order — the candidate-host
-        #: scan must visit nodes in substrate insertion order so ties
-        #: break exactly like the reference scan.
-        self.scan_nodes = sorted(order)
-        # Per-node tree depth (-1 = unreached) for the batch kernel's
-        # partial-sum replay; settle order guarantees parents first.
-        depth = [-1] * len(parent_node)
-        depth[source] = 0
-        for v in order[1:]:
-            depth[v] = depth[parent_node[v]] + 1
-        self.depth = np.array(depth, dtype=np.intp)
-
-    def reset_band(self, link_residual: np.ndarray, cursor: int) -> None:
-        """Recompute the exact feasibility band from current residuals.
-
-        With exact bounds, ``lo < load <= hi`` is *equivalent* to "the
-        feasibility vector at ``load`` equals this entry's vector": every
-        cached-feasible link still has residual ≥ load iff ``load ≤ hi``,
-        every cached-infeasible link still falls short iff ``load > lo``.
-        """
-        self.lo = float(
-            np.max(link_residual, initial=-math.inf, where=~self.feasible)
-        )
-        self.hi = float(
-            np.min(link_residual, initial=math.inf, where=self.feasible)
-        )
-        self.cursor = cursor
-
-    def absorb_dirty(self, link_residual: list[float], changed: list[int],
-                     cursor: int) -> None:
-        """Tighten the band for the ``changed`` link positions (the dirty
-        log since :attr:`cursor`; conservative — a too-narrow band only
-        forces a revalidation, never a wrong reuse)."""
-        feasible = self.feasible
-        lo = self.lo
-        hi = self.hi
-        for position in changed:
-            value = link_residual[position]
-            if feasible[position]:
-                if value < hi:
-                    hi = float(value)
-            elif value > lo:
-                lo = float(value)
-        self.lo = lo
-        self.hi = hi
-        self.cursor = cursor
-
-    def distances(self, num_nodes: int, load: float) -> list[float]:
-        """Replay per-node distances at ``load`` along the cached tree.
-
-        Identical accumulation to the reference Dijkstra's relaxations
-        (``dist[parent] + load × cost``, parents settled first), hence
-        bit-identical distances.
-        """
-        dist = [math.inf] * num_nodes
-        dist[self.order[0]] = 0.0
-        for v, p, c in zip(self.order[1:], self.parents, self.pcosts):
-            dist[v] = dist[p] + load * c
-        return dist
-
-    def path_to(self, target: int, link_ids) -> tuple[tuple, list[int]]:
-        """The tree path source→target: (LinkId tuple, link positions)."""
-        links = []
-        positions = []
-        node = target
-        parent_node = self.parent_node
-        parent_link = self.parent_link
-        while node != self.source:
-            position = parent_link[node]
-            positions.append(position)
-            links.append(link_ids[position])
-            node = parent_node[node]
-        links.reverse()
-        positions.reverse()
-        return tuple(links), positions
-
-
-class PathCache:
-    """Band-memoized capacity-constrained Dijkstra trees.
-
-    One instance per algorithm, attached to that algorithm's
-    :class:`~repro.core.residual.ResidualState`. Lookup order: absorb
-    the residual's dirty-log suffix into each candidate's band
-    (O(changed links)), then an O(1) band check per cached tree, then an
-    exact band re-anchor (two masked reductions), and only then a fresh
-    Dijkstra.
-    """
-
-    #: Dirty-log backlog beyond which absorbing per-link deltas would cost
-    #: more than one vectorized revalidation.
-    MAX_DELTA = 32
-
-    def __init__(self, index: SubstrateIndex, residual: ResidualState) -> None:
-        self.index = index
-        self.residual = residual
-        self.entries: dict[int, list[_TreeEntry]] = {}
-        self.hits = 0
-        self.misses = 0
-        # Band sharing (one tree serving every load in its feasibility
-        # band) is provably decision-exact only when link costs are
-        # uniform — true for all built-in topologies. Heterogeneous-cost
-        # substrates (possible via the topology registry) get a fresh
-        # Dijkstra per lookup instead: slower, but the bit-identical
-        # contract always holds.
-        costs = index.link_cost_list
-        self.band_sharing = len(set(costs)) <= 1
-
-    def __getstate__(self) -> dict:
-        """Checkpoint the counters, not the trees.
-
-        ``entries`` is derived state — every tree is a deterministic
-        function of the index and the residuals at lookup time, and a
-        miss rebuilds it — yet it is four fifths of a pickled session.
-        A restored cache starts cold and refills through :meth:`lookup`;
-        ``hits``/``misses`` carry over.
-        """
-        state = self.__dict__.copy()
-        state["entries"] = {}
-        return state
-
-    def lookup(self, source: int, load: float) -> _TreeEntry:
-        """The shortest-path tree for ``(source, load)`` under current
-        residuals — cached when a memoized tree's band covers it.
-
-        Trees are shared across route loads inside one feasibility band.
-        That is provably exact when link traversal costs are uniform (the
-        built-in topologies: every tier costs 1.0/CU, so relaxation
-        comparisons are scale-invariant); for heterogeneous link costs an
-        *exact* mathematical cost tie between alternative paths could in
-        principle round differently at different loads — the
-        decision-equivalence suite pins the supported configurations.
-        """
-        bucket = self.entries.get(source)
-        if bucket is None:
-            bucket = self.entries[source] = []
-        residual = self.residual
-        log = residual.link_dirty_log
-        base = residual.link_dirty_base
-        rev = base + len(log)
-        link_residual = residual.link_residual
-        if self.band_sharing:
-            for i, entry in enumerate(bucket):
-                # Entries predating a log compaction (cursor < base)
-                # cannot delta-sweep; they fall to the exact re-anchor.
-                if (
-                    entry.cursor >= base
-                    and rev - entry.cursor <= self.MAX_DELTA
-                ):
-                    if entry.cursor != rev:
-                        entry.absorb_dirty(
-                            link_residual, log[entry.cursor - base:], rev
-                        )
-                    if entry.lo < load <= entry.hi:
-                        self.hits += 1
-                        if i:
-                            bucket.append(bucket.pop(i))
-                        return entry
-            # Conservative bands may have over-tightened (or an entry sat
-            # unused past the delta budget): re-anchor each on the exact
-            # current residuals — an exact band covering ``load``
-            # certifies the entry's feasibility vector, no elementwise
-            # compare needed.
-            link_array = self.residual.link_array()
-            for i, entry in enumerate(bucket):
-                entry.reset_band(link_array, rev)
-                if entry.lo < load <= entry.hi:
-                    bucket.append(bucket.pop(i))
-                    self.hits += 1
-                    return entry
-        else:
-            link_array = self.residual.link_array()
-        self.misses += 1
-        feasible = link_array >= load
-        index = self.index
-        order, parent_node, parent_link, _ = indexed_capacity_dijkstra(
-            index.adj, index.link_cost_list, source, load, feasible.tolist()
-        )
-        entry = _TreeEntry(
-            source, feasible, order, parent_node, parent_link,
-            index.link_cost_list,
-        )
-        entry.reset_band(link_array, rev)
-        bucket.append(entry)
-        if len(bucket) > MAX_TREES_PER_SOURCE:
-            bucket.pop(0)
-        return entry
-
-    def revalidate(self, entry: _TreeEntry, load: float) -> bool:
-        """Whether ``entry`` is still exact for ``load`` right now.
-
-        The batch kernel's commit-time staleness check: the same
-        dirty-log absorption / exact band re-anchor a lookup would run,
-        restricted to this one entry (no bucket scan, no LRU motion, no
-        fresh Dijkstra). ``True`` certifies that the entry's feasibility
-        vector equals the current one at ``load`` — deterministic
-        Dijkstra then guarantees a scalar lookup would return the
-        bit-identical tree. ``False`` sends the caller down the scalar
-        path. Only meaningful on band-sharing substrates (the kernel's
-        precondition).
-        """
-        residual = self.residual
-        log = residual.link_dirty_log
-        base = residual.link_dirty_base
-        rev = base + len(log)
-        if entry.cursor >= base and rev - entry.cursor <= self.MAX_DELTA:
-            if entry.cursor != rev:
-                entry.absorb_dirty(
-                    residual.link_residual, log[entry.cursor - base:], rev
-                )
-            if entry.lo < load <= entry.hi:
-                return True
-        # The conservative band may have over-tightened (or the entry sat
-        # past the delta budget); re-anchor exactly before deciding.
-        entry.reset_band(residual.link_array(), rev)
-        return entry.lo < load <= entry.hi
-
-
-class _DirectTree:
-    """A throwaway shortest-path tree from one direct Dijkstra run.
-
-    The bypass path's stand-in for :class:`_TreeEntry`: same
-    ``scan_nodes`` order and the same path reconstruction, but no band
-    state and no replay machinery — distances come straight from the
-    Dijkstra that built it.
-    """
+class _RouteTree:
+    """The throwaway shortest-path tree of one Dijkstra run."""
 
     __slots__ = ("source", "parent_node", "parent_link", "scan_nodes")
 
@@ -325,6 +55,9 @@ class _DirectTree:
         self.source = source
         self.parent_node = parent_node
         self.parent_link = parent_link
+        #: Reached nodes in ascending index order — the candidate-host
+        #: scan must visit nodes in substrate insertion order so ties
+        #: break exactly like the reference scan.
         self.scan_nodes = sorted(order)
 
     def path_to(self, target: int, link_ids) -> tuple[tuple, list[int]]:
@@ -344,113 +77,13 @@ class _DirectTree:
         return tuple(links), positions
 
 
-class _BypassController:
-    """Deterministic banded-vs-direct arbitration for scalar routes.
-
-    The band cache pays off when trees are reused before residual churn
-    invalidates their bands; below that scale its maintenance (dirty-log
-    absorption, re-anchors, LRU bookkeeping) costs more than the fresh
-    Dijkstra it avoids — the measured 0.89× regression at small λ. The
-    controller is **counter-based and deterministic** (no wall clock, no
-    randomness — RPR003-clean): identical request streams drive
-    identical mode sequences, and since the banded and direct routes
-    produce the identical shortest-path tree, the mode never influences
-    decisions — only speed.
-
-    States (``cache_mode="adaptive"``): *banded* counts band hits over a
-    :attr:`PROBE`-lookup window and drops to *direct* when the hit rate
-    falls below :attr:`MIN_HIT_RATE`; *direct* holds for :attr:`HOLD`
-    lookups, then re-probes (so a workload that grows past the payoff
-    scale gets the cache back). The initial state is calibrated from
-    topology size × expected arrival rate when the caller provides the
-    rate: a payoff scale (expected offers per slot × nodes) below
-    :attr:`PAYOFF_FLOOR` starts direct. ``cache_mode="banded"`` /
-    ``"direct"`` pin the state (the differential tests drive both).
-    """
-
-    PROBE = 64
-    HOLD = 512
-    MIN_HIT_RATE = 0.5
-    PAYOFF_FLOOR = 256.0
-
-    __slots__ = (
-        "pinned", "banded", "payoff_scale",
-        "window_lookups", "window_hits", "hold_remaining", "switches",
-    )
-
-    def __init__(self, cache_mode: str, payoff_scale: float | None) -> None:
-        if cache_mode not in ("adaptive", "banded", "direct"):
-            raise ValueError(
-                "cache_mode must be adaptive|banded|direct "
-                f"(got {cache_mode!r})"
-            )
-        self.pinned = cache_mode != "adaptive"
-        self.payoff_scale = payoff_scale
-        start_direct = cache_mode == "direct" or (
-            cache_mode == "adaptive"
-            and payoff_scale is not None
-            and payoff_scale < self.PAYOFF_FLOOR
-        )
-        self.banded = not start_direct
-        self.window_lookups = 0
-        self.window_hits = 0
-        self.hold_remaining = self.HOLD if start_direct else 0
-        self.switches = 0
-
-    def use_bands(self) -> bool:
-        """Route the next scalar lookup through the band cache?"""
-        if self.banded:
-            return True
-        if not self.pinned:
-            self.hold_remaining -= 1
-            if self.hold_remaining <= 0:
-                self.banded = True
-                self.window_lookups = 0
-                self.window_hits = 0
-                self.switches += 1
-        return False
-
-    def observe(self, hit: bool) -> None:
-        """Feed one banded lookup's outcome into the probe window."""
-        if self.pinned or not self.banded:
-            return
-        self.window_lookups += 1
-        if hit:
-            self.window_hits += 1
-        if self.window_lookups >= self.PROBE:
-            if self.window_hits < self.MIN_HIT_RATE * self.window_lookups:
-                self.banded = False
-                self.hold_remaining = self.HOLD
-                self.switches += 1
-            self.window_lookups = 0
-            self.window_hits = 0
-
-    @property
-    def mode(self) -> str:
-        return "banded" if self.banded else "direct"
-
-
 class GreedyContext:
-    """Per-algorithm state of the incremental GREEDYEMBED fast path.
+    """Per-algorithm state of the GREEDYEMBED fast path.
 
-    Bundles the substrate index, the owning algorithm's residual state,
-    the per-application profiles and the memoized path trees. OLIVE and
-    its variants construct one next to their
-    :class:`~repro.core.residual.ResidualState` and route every greedy
-    fallback through :meth:`embed`.
-
-    ``cache_mode`` picks how scalar embeds route shortest-path queries:
-    ``"adaptive"`` (default) lets :class:`_BypassController` choose
-    between the band cache and a direct Dijkstra, ``"banded"`` /
-    ``"direct"`` pin one route. ``expected_offers_per_slot`` seeds the
-    controller's payoff calibration. Neither affects decisions — both
-    routes build the identical deterministic tree.
-
-    :meth:`begin_batch` / :meth:`end_batch` open a speculative window
-    over one same-slot run of requests; :meth:`embed` calls inside the
-    window consult the :class:`~repro.core.batch_kernel.BatchPlan`
-    first and fall back to the scalar path for anything it does not
-    cover.
+    Bundles the substrate index, the owning algorithm's residual state
+    and the per-application profiles. OLIVE and its variants construct
+    one next to their :class:`~repro.core.residual.ResidualState` and
+    route every greedy fallback through :meth:`embed`.
     """
 
     def __init__(
@@ -458,129 +91,38 @@ class GreedyContext:
         substrate: SubstrateNetwork,
         efficiency: EfficiencyModel,
         residual: ResidualState,
-        cache_mode: str = "adaptive",
-        expected_offers_per_slot: float | None = None,
     ) -> None:
         self.substrate = substrate
         self.efficiency = efficiency
         self.residual = residual
         self.index = residual.index
         self.profiles = AppProfileCache(substrate, efficiency)
-        self.paths = PathCache(self.index, residual)
-        payoff_scale = (
-            expected_offers_per_slot * self.index.num_nodes
-            if expected_offers_per_slot is not None
-            else None
-        )
-        self.bypass = _BypassController(cache_mode, payoff_scale)
-        self._batch: BatchPlan | None = None
-        self._window_open = False
-        self._window_embeds = 0
-        self._window_size = 0
-        #: Greedy-embed share of the previous batch window — the signal
-        #: that decides whether the next window speculates at all.
-        #: Optimistic start: the first window probes the kernel.
-        self.batch_density = 1.0
         self.direct_routes = 0
-        self.batch_rows = 0
-        self.batch_fallbacks = 0
-        self.batch_chunks = 0
-
-    #: Minimum greedy-embed share of a window for speculation to pay.
-    #: Plan-heavy OLIVE windows (most requests settled by planned
-    #: allocations) fall below this and skip the kernel — speculating
-    #: rows nobody consumes is the one way the kernel could lose to the
-    #: scalar path. Density is measured per window from actual embed
-    #: calls, so a plan that exhausts mid-run re-enables batching.
-    MIN_BATCH_DENSITY = 0.25
-
-    # -- batch window --------------------------------------------------------
-
-    def begin_batch(self, pairs) -> "BatchPlan | None":
-        """Open a speculative batch window over ``(request, app)`` pairs.
-
-        The window covers one same-slot run; commits still happen one
-        request at a time through :meth:`embed`, in call order, against
-        live residuals — see :mod:`repro.core.batch_kernel`. Returns the
-        :class:`~repro.core.batch_kernel.BatchPlan` (so the caller can
-        :meth:`~repro.core.batch_kernel.BatchPlan.mark_done` settled
-        requests), or ``None`` when the previous window's greedy density
-        was too low for speculation to pay — the window still measures
-        density so batching can re-engage.
-        """
-        if self._window_open:
-            raise ValueError("a batch window is already open")
-        self._window_open = True
-        self._window_embeds = 0
-        self._window_size = len(pairs)
-        if (
-            self.paths.band_sharing
-            and self.batch_density >= self.MIN_BATCH_DENSITY
-        ):
-            self._batch = BatchPlan(self, pairs)
-        return self._batch
-
-    def end_batch(self) -> None:
-        """Close the batch window and fold its counters into the stats."""
-        if not self._window_open:
-            return
-        self._window_open = False
-        if self._window_size:
-            self.batch_density = self._window_embeds / self._window_size
-        batch = self._batch
-        if batch is None:
-            return
-        self._batch = None
-        self.batch_rows += batch.rows_used
-        self.batch_fallbacks += batch.fallbacks
-        self.batch_chunks += batch.chunks
-
-    # -- routing -------------------------------------------------------------
 
     def _route(self, source: int, load: float):
-        """``(tree, distances)`` for one scalar shortest-path query.
-
-        Banded route: cached tree + exact replay. Direct route: one
-        fresh capacity-constrained Dijkstra whose returned distances ARE
-        the values the replay reproduces (same relaxations, same
-        arithmetic), with zero band maintenance. Both routes run the
-        identical deterministic tree construction under the identical
-        feasibility vector, so every downstream decision is bit-equal
-        whichever is taken.
-        """
-        paths = self.paths
-        if paths.band_sharing and self.bypass.use_bands():
-            before = paths.hits
-            tree = paths.lookup(source, load)
-            self.bypass.observe(paths.hits != before)
-            return tree, tree.distances(self.index.num_nodes, load)
+        """``(tree, distances)`` of one shortest-path query: a fresh
+        capacity-constrained Dijkstra over the links whose current
+        residual covers ``load``."""
         self.direct_routes += 1
         index = self.index
-        feasible = self.residual.link_array() >= load
         order, parent_node, parent_link, dist = indexed_capacity_dijkstra(
-            index.adj, index.link_cost_list, source, load, feasible.tolist()
+            index.adj, index.link_cost_list, source, load,
+            self.residual.link_residual,
         )
-        return _DirectTree(source, order, parent_node, parent_link), dist
-
-    # -- introspection -------------------------------------------------------
+        return _RouteTree(source, order, parent_node, parent_link), dist
 
     def stats(self) -> dict:
         """Operational counters for bench rows and diagnostics."""
-        bypass = self.bypass
+        # The zero keys are read by name by benchmarks/perf (perfbench's
+        # GREEDY_COUNTERS), which is frozen; nothing else uses them.
         return {
-            "cache_mode": bypass.mode,
-            "cache_pinned": bypass.pinned,
-            "payoff_scale": bypass.payoff_scale,
-            "payoff_floor": bypass.PAYOFF_FLOOR,
-            "mode_switches": bypass.switches,
-            "cache_hits": self.paths.hits,
-            "cache_misses": self.paths.misses,
             "direct_routes": self.direct_routes,
-            "batch_backend": BACKEND_NAME,
-            "batch_rows": self.batch_rows,
-            "batch_fallbacks": self.batch_fallbacks,
-            "batch_chunks": self.batch_chunks,
-            "batch_density": self.batch_density,
+            "cache_hits": 0,
+            "cache_misses": 0,
+            "mode_switches": 0,
+            "batch_rows": 0,
+            "batch_fallbacks": 0,
+            "batch_chunks": 0,
         }
 
     def embed(
@@ -596,20 +138,8 @@ class GreedyContext:
         check already materialized, so callers on the hot path skip a
         second pass — or ``None`` when no feasible embedding exists.
         """
-        if self._window_open:
-            self._window_embeds += 1
         profile = self.profiles.get(app)
         if len(profile.groups) == 1:
-            batch = self._batch
-            if batch is not None:
-                picked = batch.select_host(request, profile)
-                if picked is not None:
-                    tree, host_idx = picked
-                    if host_idx < 0:
-                        return None
-                    return _finish_single_host(
-                        self, request, app, profile, tree, host_idx
-                    )
             return _single_host_embed(self, request, app, profile)
         if not allow_split_groups or len(profile.groups) != 2:
             return None
@@ -629,7 +159,7 @@ def greedy_embed(
 
     Standalone calls build a transient :class:`GreedyContext`; callers on
     the hot path (OLIVE) keep one alive across requests so the profile
-    and path caches amortize.
+    cache amortizes.
     """
     if context is None:
         context = GreedyContext(substrate, efficiency, residual)
@@ -693,10 +223,9 @@ def _finish_single_host(
 ):
     """Materialize the chosen single-host embedding (path, loads, fits).
 
-    Shared tail of the scalar scan and the batch kernel's vectorized
-    host pick: reconstruct the tree path, build the exact collocated
-    loads, and apply the reference's single fits check on the chosen
-    host (infeasible → reject, never try the next-best host).
+    Reconstruct the tree path, build the exact collocated loads, and
+    apply the reference's single fits check on the chosen host
+    (infeasible → reject, never try the next-best host).
     """
     index = ctx.index
     residual = ctx.residual

@@ -25,7 +25,6 @@ QUICKG baseline.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 from repro.apps.application import Application
@@ -87,8 +86,6 @@ class OliveAlgorithm:
         allow_split_greedy: bool = True,
         name: str | None = None,
         use_fast_greedy: bool = True,
-        greedy_cache_mode: str = "adaptive",
-        expected_offers_per_slot: float | None = None,
     ) -> None:
         self.substrate = substrate
         self.apps = apps
@@ -101,15 +98,11 @@ class OliveAlgorithm:
         self.residual = ResidualState(substrate)
         self.plan_residual = PlanResidual(plan)
         self.active: dict[int, _ActiveAllocation] = {}
-        #: Incremental GREEDYEMBED state (profiles + memoized path trees);
+        #: Indexed GREEDYEMBED state (substrate index + app profiles);
         #: ``use_fast_greedy=False`` routes through the scalar reference
         #: instead — the decision-equivalence tests compare the two.
         self.greedy_context = (
-            GreedyContext(
-                substrate, self.efficiency, self.residual,
-                cache_mode=greedy_cache_mode,
-                expected_offers_per_slot=expected_offers_per_slot,
-            )
+            GreedyContext(substrate, self.efficiency, self.residual)
             if use_fast_greedy
             else None
         )
@@ -234,48 +227,10 @@ class OliveAlgorithm:
             pattern_index=pattern_index, preempted=preempted,
         )
 
-    @contextlib.contextmanager
-    def batched(self, requests: list[Request]):
-        """Speculative batch window over one same-slot run of requests.
-
-        While open, :meth:`process` calls for the listed requests may be
-        served by the vectorized batch kernel
-        (:mod:`repro.core.batch_kernel`); everything else — planned
-        fits, borrowing, preemption, rejections — runs unchanged, and
-        commits stay strictly in call order against live residuals, so
-        the window never alters a decision. A no-op for the reference
-        engine (``use_fast_greedy=False``) and for trivial runs.
-        """
-        context = self.greedy_context
-        if context is None or len(requests) < 2:
-            yield None
-            return
-        plan = context.begin_batch(
-            [(request, self.apps[request.app_index]) for request in requests]
-        )
-        try:
-            yield plan
-        finally:
-            context.end_batch()
-
     def process_many(self, requests: list[Request]) -> list[Decision]:
-        """Process one slot's arrival run, sequential-equivalent.
-
-        Exactly ``[self.process(r) for r in requests]`` — same decisions,
-        same residual trajectory — but wrapped in :meth:`batched` so the
-        greedy fallback amortizes shortest-path and host-scan work over
-        the whole run. Each settled request is reported back to the plan
-        so speculation chunks skip it.
-        """
-        decisions = []
-        with self.batched(requests) as plan:
-            if plan is None:
-                decisions.extend(self.process(r) for r in requests)
-            else:
-                for request in requests:
-                    decisions.append(self.process(request))
-                    plan.mark_done(request)
-        return decisions
+        """Process one slot's arrival run: the public bulk shape of
+        :meth:`process`, in order against live residuals."""
+        return [self.process(r) for r in requests]
 
     # -- dynamic events ------------------------------------------------------
 

@@ -39,8 +39,8 @@ class _ArrayMapping(MutableMapping):
     Reads and writes go straight to the backing storage, so code that
     predates the indexed backend (``residual.links[l] >= load``,
     ``residual.nodes[v] = 15.0`` in tests) keeps working unchanged.
-    Writes count as residual changes: they bump the owner's revision so
-    the greedy path cache revalidates (see :class:`ResidualState`).
+    A node write bumps the owner's ``node_rev`` so its numpy snapshot
+    refreshes (see :meth:`ResidualState.node_array`).
     """
 
     __slots__ = ("_index", "_array", "_keys", "_owner", "_kind")
@@ -58,7 +58,8 @@ class _ArrayMapping(MutableMapping):
     def __setitem__(self, key, value) -> None:
         position = self._index[key]
         self._array[position] = value
-        self._owner._element_changed(self._kind, position)
+        if self._kind == "node":
+            self._owner.node_rev += 1
 
     def __delitem__(self, key) -> None:
         raise SimulationError("residual elements cannot be removed")
@@ -91,16 +92,12 @@ class ResidualState:
     Residuals live in two plain-Python lists indexed by
     :class:`~repro.substrate.network.SubstrateIndex` positions (scalar
     bookkeeping — allocate/release/fits on a handful of elements — is
-    faster on native floats than on numpy scalars); the vectorized greedy
-    fast path reads them through :meth:`node_array` / :meth:`link_array`,
-    lazily refreshed numpy snapshots. The ``nodes``/``links`` attributes
-    remain dict-compatible views for pre-array code and tests.
-
-    Every mutation of a link residual appends the touched position to
-    :attr:`link_dirty_log` (whose length is :attr:`link_rev`), which is
-    how the incremental greedy path cache (:mod:`repro.core.greedy`)
-    knows when a memoized shortest-path tree may be stale — and exactly
-    which links to re-examine.
+    faster on native floats than on numpy scalars). Greedy routing reads
+    :attr:`link_residual` directly; the per-node-η and two-group host
+    scans read node residuals through :meth:`node_array`, a lazily
+    refreshed numpy snapshot keyed on :attr:`node_rev`. The
+    ``nodes``/``links`` attributes remain dict-compatible views for
+    pre-array code and tests.
     """
 
     def __init__(self, substrate: SubstrateNetwork) -> None:
@@ -118,28 +115,10 @@ class ResidualState:
         #: which is how stranded allocations are detected.
         self.node_capacity: list[float] = self.index.node_capacity.tolist()
         self.link_capacity: list[float] = self.index.link_capacity.tolist()
-        #: Log of link positions whose residual changed, in change order;
-        #: ``link_dirty_base + len(link_dirty_log)`` is the revision
-        #: counter. Consumers (the greedy path cache) remember the
-        #: absolute revision they have swept to, so several caches can
-        #: share one residual. The log's oldest half is dropped once it
-        #: exceeds a bound (long runs would otherwise grow it without
-        #: limit); a consumer whose cursor predates ``link_dirty_base``
-        #: must fall back to a full revalidation instead of a delta sweep.
-        self.link_dirty_log: list[int] = []
-        self.link_dirty_base = 0
-        #: Counts events that *raised* some link residual (departure /
-        #: preemption releases, capacity restorations). Within a window
-        #: where this is unchanged, link residuals are monotonically
-        #: non-increasing — the batch kernel's commit-time fast path
-        #: relies on that monotonicity (see :mod:`repro.core.batch_kernel`).
-        self.link_rise_rev = 0
         #: Revision counter of node-residual changes (array-cache key).
         self.node_rev = 0
         self._node_array: "np.ndarray | None" = None
         self._node_array_rev = -1
-        self._link_array: "np.ndarray | None" = None
-        self._link_array_rev = -1
         self.nodes = _ArrayMapping(
             self.index.node_index, self.node_residual,
             self.index.node_ids, self, "node",
@@ -149,41 +128,12 @@ class ResidualState:
             self.index.link_ids, self, "link",
         )
 
-    #: Log length that triggers dropping the oldest half.
-    MAX_DIRTY_LOG = 65536
-
-    @property
-    def link_rev(self) -> int:
-        """Monotone revision counter of link-residual changes."""
-        return self.link_dirty_base + len(self.link_dirty_log)
-
-    def _compact_dirty_log(self) -> None:
-        drop = len(self.link_dirty_log) // 2
-        self.link_dirty_log = self.link_dirty_log[drop:]
-        self.link_dirty_base += drop
-
-    def _element_changed(self, kind: str, position: int) -> None:
-        if kind == "link":
-            self.link_dirty_log.append(position)
-            if len(self.link_dirty_log) > self.MAX_DIRTY_LOG:
-                self._compact_dirty_log()
-        else:
-            self.node_rev += 1
-
     def node_array(self) -> "np.ndarray":
         """Current node residuals as a numpy snapshot (do not mutate)."""
         if self._node_array_rev != self.node_rev:
             self._node_array = np.array(self.node_residual)
             self._node_array_rev = self.node_rev
         return self._node_array
-
-    def link_array(self) -> "np.ndarray":
-        """Current link residuals as a numpy snapshot (do not mutate)."""
-        rev = self.link_rev
-        if self._link_array_rev != rev:
-            self._link_array = np.array(self.link_residual)
-            self._link_array_rev = rev
-        return self._link_array
 
     def fits(self, loads: ElementLoads) -> bool:
         """Eq. 18: can these loads be added without violating capacity?"""
@@ -230,16 +180,12 @@ class ResidualState:
             self.node_rev += 1
         link_index = self.index.link_index
         link_residual = self.link_residual
-        dirty = self.link_dirty_log
         for link, load in loads.links.items():
             position = link_index[link]
             value = link_residual[position] - load
             link_residual[position] = value
             if value < 0.0 and value < -EPSILON * (load if load > 1.0 else 1.0):
                 raise SimulationError(f"link {link!r} residual went negative")
-            dirty.append(position)
-        if len(dirty) > self.MAX_DIRTY_LOG:
-            self._compact_dirty_log()
 
     def release(self, loads: ElementLoads) -> None:
         """Return capacity on request departure or preemption."""
@@ -251,15 +197,8 @@ class ResidualState:
             self.node_rev += 1
         link_index = self.index.link_index
         link_residual = self.link_residual
-        dirty = self.link_dirty_log
         for link, load in loads.links.items():
-            position = link_index[link]
-            link_residual[position] += load
-            dirty.append(position)
-        if loads.links:
-            self.link_rise_rev += 1
-        if len(dirty) > self.MAX_DIRTY_LOG:
-            self._compact_dirty_log()
+            link_residual[link_index[link]] += load
 
     # -- dynamic capacity mutation (events subsystem) ------------------------
 
@@ -280,23 +219,13 @@ class ResidualState:
         return True
 
     def set_link_capacity(self, link, capacity: float) -> bool:
-        """Set a link's effective capacity (see :meth:`set_node_capacity`).
-
-        The change is appended to :attr:`link_dirty_log`, so the greedy
-        path cache revalidates affected shortest-path trees exactly as it
-        does for allocate/release mutations.
-        """
+        """Set a link's effective capacity (see :meth:`set_node_capacity`)."""
         position = self.index.link_index[link]
         delta = capacity - self.link_capacity[position]
         if delta == 0.0:
             return False
         self.link_capacity[position] = capacity
         self.link_residual[position] += delta
-        if delta > 0.0:
-            self.link_rise_rev += 1
-        self.link_dirty_log.append(position)
-        if len(self.link_dirty_log) > self.MAX_DIRTY_LOG:
-            self._compact_dirty_log()
         return True
 
     def nominal_node_capacity(self, node: NodeId) -> float:

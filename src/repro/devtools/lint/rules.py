@@ -15,8 +15,8 @@ RPR002    global-state RNG (``random.*`` module functions, legacy
 RPR003    wall-clock reads outside the whitelisted
           ``slots_per_second``/``requests_per_second`` runtime metrics
 RPR004    direct capacity writes on ``ResidualState`` that bypass
-          ``set_node_capacity``/``set_link_capacity`` and skip the dirty
-          log → PathCache invalidation chain
+          ``set_node_capacity``/``set_link_capacity`` and skip the
+          residual shift (residual ≠ capacity − Σ active loads)
 RPR005    ``sum()`` over unordered containers (float reassociation
           breaks bit-identity)
 RPR006    mutation of frozen dataclasses / registry internals outside
@@ -306,8 +306,8 @@ class _CapacityWriteVisitor(_CollectingVisitor):
         self.emit(
             node,
             f"direct write to ResidualState.{attr} bypasses {setter}() — "
-            "the residual shift and dirty-log append are skipped, so the "
-            "greedy PathCache keeps serving stale shortest-path trees",
+            "the residual shift is skipped, so routing and fits() keep "
+            "reading residuals computed against the stale capacity",
         )
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -339,8 +339,7 @@ class RuleCapacityWrite(LintRule):
     rule_id = "RPR004"
     summary = (
         "direct capacity writes on ResidualState bypassing "
-        "set_node_capacity/set_link_capacity (skips dirty-log → "
-        "PathCache invalidation)"
+        "set_node_capacity/set_link_capacity (skips the residual shift)"
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:

@@ -210,19 +210,6 @@ DEFAULT_METRICS = (
 OLIVE_W_WINDOWS = 4
 
 
-def _expected_offers_per_slot(scenario: Scenario) -> float:
-    """Mean arrivals per slot — the greedy fast path's payoff hint.
-
-    Seeds the adaptive PathCache bypass
-    (:class:`repro.core.greedy.GreedyContext`): together with the
-    topology size it calibrates whether band memoization starts enabled.
-    Purely a speed hint — decisions are identical either way.
-    """
-    return len(scenario.online_requests()) / max(
-        scenario.config.online_slots, 1
-    )
-
-
 @register_algorithm(
     "OLIVE",
     needs_plan=True,
@@ -235,7 +222,6 @@ def _make_olive(scenario: Scenario) -> OliveAlgorithm:
         scenario.apps,
         scenario.plan,
         efficiency=scenario.efficiency,
-        expected_offers_per_slot=_expected_offers_per_slot(scenario),
     )
 
 
@@ -248,7 +234,6 @@ def _make_olive(scenario: Scenario) -> OliveAlgorithm:
 def _make_quickg(scenario: Scenario):
     return make_quickg(
         scenario.substrate, scenario.apps, scenario.efficiency,
-        expected_offers_per_slot=_expected_offers_per_slot(scenario),
     )
 
 

@@ -10,9 +10,9 @@ ROADMAP's long-running embedder serving live traffic:
   hands admitted offers to the algorithm mid-slot. Same-slot offers are
   **micro-batched**: they share one open slot — departures, capacity
   events and per-slot accounting are paid once per slot, not once per
-  offer. ``offer_many`` takes an explicit list and additionally routes
-  each slot's run through the algorithm's vectorized batch kernel,
-  bit-identical to sequential offers (``offer_batch`` is an alias).
+  offer. ``offer_many`` takes an explicit list and additionally pays
+  the per-offer session plumbing once per slot run, bit-identical to
+  sequential offers (``offer_batch`` is an alias).
 * ``schedule(request) → bool`` — enqueue a future arrival, subject to
   the ``max_pending`` queue bound (backpressure: a full queue sheds
   instead of growing without limit).
@@ -182,9 +182,8 @@ class EmbedderService:
         admission policy is consulted per request at exactly the point
         its sequential offer would have been, and admitted requests
         commit in order through
-        :meth:`~repro.sim.session.SimulationSession.process_many` — the
-        session-level bulk path that hands the run to the algorithm's
-        vectorized batch kernel. What changes is only the per-offer
+        :meth:`~repro.sim.session.SimulationSession.process_many`, the
+        session-level bulk path. What changes is only the per-offer
         overhead: slot bookkeeping, timing and metrics are paid once per
         run, and each admitted offer records the run's amortized
         per-offer latency instead of an individually timed one.
@@ -301,11 +300,7 @@ class EmbedderService:
     def restore(
         cls, snapshot: SessionSnapshot, **service_kwargs: Any
     ) -> "EmbedderService":
-        """A new service over a session resumed from ``snapshot``.
-
-        The resumed session's path cache starts cold and refills as
-        offers arrive; decisions are unaffected.
-        """
+        """A new service over a session resumed from ``snapshot``."""
         return cls(SimulationSession.restore(snapshot), **service_kwargs)
 
     # -- internals -----------------------------------------------------------

@@ -22,8 +22,7 @@ The frontend mirrors the :class:`~repro.serve.EmbedderService` surface
    slot boundary (``checkpoint_every``); :meth:`kill_worker` +
    :meth:`restore_worker` replace a dead worker with a spare booted
    from its latest checkpoint, bit-identically to a worker that never
-   died. A checkpoint is one pickle of each worker's durable state
-   (derived caches stay behind and refill on the spare).
+   died. A checkpoint is one pickle of each worker's durable state.
 
 Fidelity notes, deliberate and documented:
 

@@ -83,11 +83,11 @@ class WorkerCheckpoint:
     ``session_bytes`` is the shard session serialized through
     :meth:`~repro.sim.session.SessionSnapshot.to_bytes` — the certified
     pickle boundary: one pickle of the session's durable state, so a
-    worker booted from it starts with a cold path cache and decides
-    identically. Admission travels as a registry name plus factory
-    params (policy *instances* are operational objects and stay with
-    their process). ``clock`` is the slot the restored service resumes
-    at, recorded so a restore can assert it matches the frontend clock.
+    worker booted from it decides identically. Admission travels as a
+    registry name plus factory params (policy *instances* are
+    operational objects and stay with their process). ``clock`` is the
+    slot the restored service resumes at, recorded so a restore can
+    assert it matches the frontend clock.
     """
 
     shard_id: int

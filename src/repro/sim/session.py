@@ -48,7 +48,7 @@ import io
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,12 +113,10 @@ class SessionSnapshot:
     and a foreign or truncated payload is refused without loading the
     session.
 
-    Only *durable* state is in the payload — residuals, active set,
-    pending arrivals, event cursor, decision log, metric arrays,
-    counters. Derived caches that rebuild from substrate + residual (the
-    greedy path cache's memoized trees) are left behind by their owner's
-    ``__getstate__``; a restored session starts with them cold and
-    decides identically.
+    The payload is durable state — residuals, active set, pending
+    arrivals, event cursor, decision log, metric arrays, counters — plus
+    the small app-profile cache; no routing state outlives an embed, so
+    a restored session decides identically.
     """
 
     _payload: bytes = field(repr=False)
@@ -408,32 +406,7 @@ class SimulationSession:
         if on_slot is not None:
             on_slot(t)
         if not self._is_batch and arrivals:
-            # Algorithms exposing the bulk shape (OLIVE and variants)
-            # take the whole run at once — the greedy fast path then
-            # amortizes its work over the slot via the batch kernel.
-            # Decisions and preemption bookkeeping are identical to the
-            # per-request loop (process_many is sequential-equivalent).
-            process_many = getattr(algorithm, "process_many", None)
-            if process_many is not None:
-                slot_decisions = process_many(list(arrivals))
-                self._decisions.extend(slot_decisions)
-                preemptions = self._preemptions
-                for decision in slot_decisions:
-                    if decision.preempted:
-                        preemptions.extend(
-                            (r, t) for r in decision.preempted
-                        )
-            else:
-                process = algorithm.process
-                append_decision = self._decisions.append
-                preemptions = self._preemptions
-                for request in arrivals:
-                    decision = process(request)
-                    append_decision(decision)
-                    if decision.preempted:
-                        preemptions.extend(
-                            (r, t) for r in decision.preempted
-                        )
+            self._commit_run(arrivals)
         self._slot_runtime = time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
 
     def process(self, request: Request) -> Decision:
@@ -489,11 +462,10 @@ class SimulationSession:
         """Hand a same-slot run of arrivals to the algorithm in one call.
 
         Sequential-equivalent to calling :meth:`process` per request in
-        order — identical decisions, identical residual trajectory —
-        but the per-offer plumbing (migration application, departure
-        registration, timing) is paid once per run, and algorithms
-        exposing a ``batched`` window (OLIVE and variants) amortize
-        their greedy work over the run via the vectorized batch kernel.
+        order — identical decisions, identical residual trajectory,
+        identical log when the algorithm raises mid-run — but the
+        per-offer plumbing (migration application, departure
+        registration, timing) is paid once per run.
 
         ``decide`` is an optional admission hook called with each
         *original* request immediately before it would commit (so a
@@ -521,73 +493,56 @@ class SimulationSession:
             if self.events is not None
             else requests
         )
-        algorithm = self.algorithm
         if decide is None:
-            bulk = getattr(algorithm, "process_many", None)
-            if bulk is not None:
-                return self._process_run_bulk(migrated, bulk)
-        batched = getattr(algorithm, "batched", None)
-        window: Any = (
-            batched(migrated) if batched is not None
-            else contextlib.nullcontext()
-        )
+            return self._process_run_bulk(migrated)
         t = self._clock
         num_slots = self.num_slots
         departures = self._departures_by_slot
         decisions = self._decisions
         preemptions = self._preemptions
-        process = algorithm.process
+        process = self.algorithm.process
         outcomes: list[Decision | None] = []
         # One accumulator round-trip instead of a numpy scalar add per
         # request; float64 adds in the same order, so the stored value is
         # bit-identical to the sequential path's.
         total = float(self._requested[t])
         start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        with window as plan:
-            for original, request in zip(requests, migrated):
-                if decide is not None:
-                    reason = decide(original)
-                    if reason is not None:
-                        if plan is not None:
-                            plan.mark_done(request)
-                        outcomes.append(None)
-                        continue
-                if request.arrival != t:
-                    raise SimulationError(
-                        f"request {request.id} arrives at "
-                        f"{request.arrival}, but the open slot is {t}"
-                    )
-                total += request.demand
-                if request.departure < num_slots:
-                    bisect.insort(
-                        departures.setdefault(request.departure, []),
-                        request,
-                    )
-                decision = process(request)
-                decisions.append(decision)
-                if decision.preempted:
-                    preemptions.extend((r, t) for r in decision.preempted)
-                if plan is not None:
-                    plan.mark_done(request)
-                outcomes.append(decision)
+        for original, request in zip(requests, migrated):
+            if decide(original) is not None:
+                outcomes.append(None)
+                continue
+            if request.arrival != t:
+                raise SimulationError(
+                    f"request {request.id} arrives at "
+                    f"{request.arrival}, but the open slot is {t}"
+                )
+            total += request.demand
+            if request.departure < num_slots:
+                bisect.insort(
+                    departures.setdefault(request.departure, []),
+                    request,
+                )
+            decision = process(request)
+            decisions.append(decision)
+            if decision.preempted:
+                preemptions.extend((r, t) for r in decision.preempted)
+            outcomes.append(decision)
         self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
         self._requested[t] = total
         return outcomes
 
     def _process_run_bulk(
-        self,
-        migrated: list[Request],
-        bulk: Callable[[list[Request]], list[Decision]],
+        self, migrated: list[Request]
     ) -> list["Decision | None"]:
-        """No-shed run: session bookkeeping up front, then one bulk call.
+        """No-shed run: session bookkeeping up front, then one tight run.
 
         With no admission hook there is nothing to interleave, so the
-        whole run goes through the algorithm's own ``process_many`` —
-        the exact call :meth:`begin_slot` makes for scheduled arrivals —
-        instead of a per-request session loop. Bookkeeping is identical:
-        the demand accumulator adds in arrival order (bit-identical
-        float sum) and departure registration happens before processing,
-        which nothing in the open slot observes.
+        whole run goes through :meth:`_commit_run` — the exact call
+        :meth:`begin_slot` makes for scheduled arrivals — instead of a
+        per-request session loop. Bookkeeping is identical: the demand
+        accumulator adds in arrival order (bit-identical float sum) and
+        departure registration happens before processing, which nothing
+        in the open slot observes.
         """
         t = self._clock
         num_slots = self.num_slots
@@ -607,15 +562,30 @@ class SimulationSession:
                 )
         self._requested[t] = total
         start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        slot_decisions = bulk(migrated)
+        committed = self._commit_run(migrated)
         self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        self._decisions.extend(slot_decisions)
-        preemptions = self._preemptions
-        for decision in slot_decisions:
-            if decision.preempted:
-                preemptions.extend((r, t) for r in decision.preempted)
-        outcomes: list[Decision | None] = list(slot_decisions)
-        return outcomes
+        return list(committed)
+
+    def _commit_run(self, run: Sequence[Request]) -> list[Decision]:
+        """Process ``run`` in order, logging decisions and preemptions.
+
+        The log grows as the algorithm commits (``extend`` appends each
+        decision as ``map`` yields it), so an error mid-run leaves it
+        holding exactly the decisions made before it — what per-request
+        :meth:`process` calls would have logged.
+        """
+        t = self._clock
+        decisions = self._decisions
+        first = len(decisions)
+        try:
+            decisions.extend(map(self.algorithm.process, run))
+        finally:
+            committed = decisions[first:]
+            preemptions = self._preemptions
+            for decision in committed:
+                if decision.preempted:
+                    preemptions.extend((r, t) for r in decision.preempted)
+        return committed
 
     def close_slot(self) -> SlotReport:
         """Seal the open slot: run a batch algorithm's slot solve, record
@@ -734,8 +704,7 @@ class SimulationSession:
         Everything the run depends on is captured by value — algorithm
         residuals, pending arrivals, the event cursor, accumulated
         decisions and metric arrays — so restoring and continuing is
-        bit-identical to never having stopped. Rebuildable caches stay
-        behind (see :class:`SessionSnapshot`). Snapshots are only
+        bit-identical to never having stopped. Snapshots are only
         available between slots (open slots hold half-applied state).
         """
         if self._slot_open:
@@ -758,7 +727,7 @@ class SimulationSession:
         One ``pickle.loads`` of the snapshot's bytes; the snapshot itself
         is immutable, so the same checkpoint can seed several resumed
         runs (e.g. replaying a tail under different what-if
-        submissions). The restored session's derived caches start cold.
+        submissions).
         """
         payload = snapshot._payload
         _, _, body_at = _parse_header(payload)

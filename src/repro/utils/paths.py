@@ -103,15 +103,17 @@ def indexed_capacity_dijkstra(
     link_costs: Sequence[float],
     source: int,
     load: float,
-    feasible: Sequence[bool],
+    link_residual: Sequence[float],
 ) -> tuple[list[int], list[int], list[int], list[float]]:
     """Integer-indexed twin of :func:`capacity_constrained_dijkstra`.
 
     Operates on a :class:`~repro.substrate.network.SubstrateIndex`-style
     adjacency (per-node ``(neighbor_idx, link_idx)`` pairs, in the same
     per-node order as the dict adjacency), with traversal weight
-    ``load × link_costs[link]`` and a precomputed per-link feasibility
-    sequence. The relaxation sequence, heap tie-breaking counter and
+    ``load × link_costs[link]``; a link is traversable iff
+    ``link_residual[link] >= load``, tested inside the relaxation against
+    the caller's live residual sequence (nothing is materialized per
+    call). The relaxation sequence, heap tie-breaking counter and
     floating-point accumulation mirror the dict version exactly, so for
     the same inputs both produce bit-identical distances and the same
     shortest-path tree.
@@ -142,7 +144,7 @@ def indexed_capacity_dijkstra(
         visited[node] = True
         order.append(node)
         for neighbor, link in adj[node]:
-            if visited[neighbor] or not feasible[link]:
+            if visited[neighbor] or link_residual[link] < load:
                 continue
             candidate = d + load * link_costs[link]
             if candidate < dist[neighbor]:

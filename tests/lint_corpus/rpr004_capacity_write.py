@@ -1,14 +1,14 @@
 """RPR004 corpus: capacity writes that bypass the ResidualState setters.
 
 The hazard: ``ResidualState.node_capacity``/``link_capacity`` are plain
-lists; writing them directly "works" — but skips the residual shift and
-the dirty-log append, so the greedy PathCache keeps serving shortest-path
-trees computed against the stale capacity.
+lists; writing them directly "works" — but skips the residual shift, so
+greedy routing and ``fits()`` keep reading residuals computed against the
+stale capacity and the capacity invariant silently breaks.
 """
 
 
 def degrade_link_wrong(residual, position, factor):
-    residual.link_capacity[position] *= factor  # BAD: no dirty-log entry
+    residual.link_capacity[position] *= factor  # BAD: residual not shifted
     return residual
 
 
@@ -23,7 +23,7 @@ def grow_wrong(residual, extra):
 
 
 def degrade_link_right(residual, link, factor):
-    # OK: the setter shifts the residual and feeds the dirty log.
+    # OK: the setter shifts the residual along with the capacity.
     nominal = residual.nominal_link_capacity(link)
     return residual.set_link_capacity(link, nominal * factor)
 

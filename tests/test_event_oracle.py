@@ -2,18 +2,17 @@
 
 There is no ground truth for scenarios the paper never ran — but there
 are *two independent engines* that must agree on every decision: the
-incremental fast path (:mod:`repro.core.greedy` with its memoized path
-trees and dirty-log invalidation) and the frozen scalar reference
+indexed fast path (:mod:`repro.core.greedy`, routing over the live
+residual list) and the frozen scalar reference
 (:mod:`repro.core.greedy_reference`). This module extends the
 ``test_fastpath_equivalence`` contract to *mutated* substrates: whole
 simulations under every registered event profile, run through both
 engines, must produce bit-identical results — decisions, embeddings,
 preemptions, disruptions and per-slot metric arrays.
 
-This is the hardest test the path cache faces: capacity events flow
-through the same dirty log as allocations, so a stale feasibility band
-after a failure/recovery would mis-route exactly one request — and show
-up here as a divergence.
+Capacity events shift the same residuals allocations do; a route that
+read a stale link residual after a failure/recovery would mis-route
+exactly one request — and show up here as a divergence.
 
 Since the streaming-session redesign the oracle has a third leg
 (:class:`TestSessionOracle`): for every registered algorithm × event
@@ -36,7 +35,6 @@ import pytest
 from repro.api import resolve_events
 from repro.baselines.quickg import make_quickg
 from repro.core.olive import OliveAlgorithm
-from repro.core.residual import ResidualState
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import build_scenario
 from repro.experiments.scenario import make_algorithm
@@ -145,10 +143,9 @@ class TestEventOracle:
         )
         _assert_event_results_identical(fast, reference)
 
-    def test_dense_flapping_with_tiny_dirty_log(self, monkeypatch):
-        """Constant capacity churn with a pathologically small dirty-log
-        bound: compaction must never let a stale band survive an event."""
-        monkeypatch.setattr(ResidualState, "MAX_DIRTY_LOG", 8)
+    def test_dense_link_flapping_bit_identical(self):
+        """Constant capacity churn: a link fails or recovers every slot,
+        and every route after it must see the shifted residual."""
         scenario = build_scenario(
             ExperimentConfig.test(utilization=1.2), seed=15, with_plan=False
         )
@@ -267,11 +264,7 @@ def _assert_session_identical(streamed, batch) -> None:
 
 
 def _check_step_and_restore(algorithm_name: str, profile: str) -> None:
-    """Step-driven and checkpoint/restored sessions ≡ batch simulate().
-
-    The resumed session starts with a cold path cache (snapshots carry
-    durable state only), the uninterrupted one keeps its warm one.
-    """
+    """Step-driven and checkpoint/restored sessions ≡ batch simulate()."""
     scenario = _session_scenario(algorithm_name)
     slots = scenario.config.online_slots
     online = scenario.online_requests()
@@ -364,12 +357,9 @@ class TestSessionOracle:
 class TestSnapshotPickleRoundTrip:
     """Serialized checkpoints, all algorithms × profiles, bit-identical.
 
-    A snapshot *is* the serialized session and leaves the greedy path
-    cache behind, so every restore leg in this module — this class and
-    :class:`TestSessionOracle` alike — is a restore-with-cold-cache ≡
-    uninterrupted-run leg: the checkpoint boundary proves what the
-    fast-vs-reference legs above claim, that decisions do not depend on
-    what the cache holds.
+    A snapshot *is* the serialized session, so every restore leg in this
+    module — this class and :class:`TestSessionOracle` alike — crosses
+    the pickle boundary.
     """
 
     @pytest.mark.parametrize("profile", ALL_PROFILES)
@@ -409,9 +399,9 @@ def _classes_in(payload: bytes) -> set[str]:
 class TestSnapshotPayload:
     """What a checkpoint contains, measured on the bytes themselves."""
 
-    #: Derived state that must stay behind: memoized and throwaway
-    #: shortest-path trees, and the batch kernel's speculation window.
-    DERIVED = {"_TreeEntry", "_DirectTree", "BatchPlan"}
+    #: Derived state that must stay out: a route's throwaway
+    #: shortest-path tree lives for one embed only.
+    DERIVED = {"_RouteTree"}
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_payload_holds_no_derived_state(self, algorithm):
@@ -421,12 +411,6 @@ class TestSnapshotPayload:
             scenario.config.online_slots,
         )
         session.run_until(3)
-        context = getattr(session.algorithm, "greedy_context", None)
-        if context is not None:
-            # Warm the cache whatever the bypass controller chose.
-            for source in range(context.index.num_nodes):
-                context.paths.lookup(source, 1.0)
-            assert context.paths.entries
 
         snapshot = session.snapshot()
         payload = snapshot.to_bytes()

@@ -51,18 +51,18 @@ class TestResidualCapacityMutation:
         )
         assert residual.nodes["core"] == 9000.0
 
-    def test_link_capacity_cut_shifts_residual_and_logs(self, line_substrate):
+    def test_link_capacity_cut_shifts_residual(self, line_substrate):
         residual = ResidualState(line_substrate)
         link = ("edge-a", "transport")
-        rev_before = residual.link_rev
+        residual.links[link] = 450.0  # simulate 50 CU allocated
         assert residual.set_link_capacity(link, 100.0) is True
-        assert residual.links[link] == 100.0
-        assert residual.link_rev == rev_before + 1  # dirty log fed
+        assert residual.links[link] == 50.0
+        assert residual.link_capacity[residual.index.link_index[link]] == 100.0
         # Restoring goes through the nominal capacity helper.
         assert residual.set_link_capacity(
             link, residual.nominal_link_capacity(link)
         )
-        assert residual.links[link] == 500.0
+        assert residual.links[link] == 450.0
 
     def test_node_capacity_cut_below_usage_goes_negative(self, line_substrate):
         residual = ResidualState(line_substrate)
@@ -74,10 +74,10 @@ class TestResidualCapacityMutation:
 
     def test_noop_change_reports_false(self, line_substrate):
         residual = ResidualState(line_substrate)
-        rev = residual.link_rev
+        before = (list(residual.link_residual), list(residual.node_residual))
         assert residual.set_link_capacity(("edge-a", "transport"), 500.0) is False
         assert residual.set_node_capacity("core", 9000.0) is False
-        assert residual.link_rev == rev
+        assert (residual.link_residual, residual.node_residual) == before
 
     def test_unknown_element_raises(self, line_substrate):
         residual = ResidualState(line_substrate)

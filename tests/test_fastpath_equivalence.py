@@ -3,8 +3,8 @@ bit-identical :class:`~repro.sim.engine.SimulationResult` values to the
 pre-fast-path scalar engine (:mod:`repro.core.greedy_reference`).
 
 These tests are the enforcement half of the fast-path contract: whole
-simulations run twice — once through the memoized/vectorized path, once
-through the frozen reference — and every decision, embedding, preemption
+simulations run twice — once through the indexed path, once through the
+frozen reference — and every decision, embedding, preemption
 and per-slot metric array must match exactly (``==`` on floats, not
 ``approx``). The benchmark suite's ``test_bench_hotpath.py`` measures the
 speed side of the same contract at benchmark scale.
@@ -12,17 +12,23 @@ speed side of the same contract at benchmark scale.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines.quickg import make_quickg
+from repro.core import greedy as greedy_module
 from repro.core import greedy_reference
+from repro.core.embedding import compute_loads
 from repro.core.greedy import GreedyContext, greedy_embed
 from repro.core.olive import OliveAlgorithm
 from repro.core.residual import ResidualState
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import build_scenario
 from repro.sim.engine import SimulationResult, simulate
+from repro.sim.session import SimulationSession
+from repro.substrate.network import SubstrateNetwork
 
 
 def assert_results_identical(
@@ -49,6 +55,36 @@ def _run_both(scenario, make_algorithm):
     return fast, reference
 
 
+def _make(engine: str, scenario, substrate=None, **kwargs):
+    substrate = substrate or scenario.substrate
+    if engine == "OLIVE":
+        return OliveAlgorithm(
+            substrate, scenario.apps, scenario.plan,
+            efficiency=scenario.efficiency, **kwargs,
+        )
+    return make_quickg(substrate, scenario.apps, scenario.efficiency, **kwargs)
+
+
+def _by_slot(requests) -> dict[int, list]:
+    by_slot: dict[int, list] = {}
+    for request in sorted(requests):
+        by_slot.setdefault(request.arrival, []).append(request)
+    return by_slot
+
+
+def _count_dijkstra_runs(monkeypatch) -> list[int]:
+    """Wrap the fast path's shortest-path call; ``[0]`` holds the count."""
+    runs = [0]
+    dijkstra = greedy_module.indexed_capacity_dijkstra
+
+    def counted(*args):
+        runs[0] += 1
+        return dijkstra(*args)
+
+    monkeypatch.setattr(greedy_module, "indexed_capacity_dijkstra", counted)
+    return runs
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("utilization", [0.6, 1.0, 1.4])
     def test_quickg_bit_identical(self, utilization):
@@ -58,9 +94,8 @@ class TestEngineEquivalence:
         )
         fast, reference = _run_both(
             scenario,
-            lambda fast_greedy: make_quickg(
-                scenario.substrate, scenario.apps, scenario.efficiency,
-                use_fast_greedy=fast_greedy,
+            lambda fast_greedy: _make(
+                "QUICKG", scenario, use_fast_greedy=fast_greedy
             ),
         )
         assert_results_identical(fast, reference)
@@ -72,10 +107,8 @@ class TestEngineEquivalence:
         )
         fast, reference = _run_both(
             scenario,
-            lambda fast_greedy: OliveAlgorithm(
-                scenario.substrate, scenario.apps, scenario.plan,
-                efficiency=scenario.efficiency,
-                use_fast_greedy=fast_greedy,
+            lambda fast_greedy: _make(
+                "OLIVE", scenario, use_fast_greedy=fast_greedy
             ),
         )
         assert_results_identical(fast, reference)
@@ -86,10 +119,8 @@ class TestEngineEquivalence:
         )
         fast, reference = _run_both(
             scenario,
-            lambda fast_greedy: OliveAlgorithm(
-                scenario.substrate, scenario.apps, scenario.plan,
-                efficiency=scenario.efficiency,
-                use_fast_greedy=fast_greedy,
+            lambda fast_greedy: _make(
+                "OLIVE", scenario, use_fast_greedy=fast_greedy
             ),
         )
         assert_results_identical(fast, reference)
@@ -101,20 +132,174 @@ class TestEngineEquivalence:
         )
         fast, reference = _run_both(
             scenario,
-            lambda fast_greedy: OliveAlgorithm(
-                scenario.substrate, scenario.apps, scenario.plan,
-                efficiency=scenario.efficiency,
-                use_fast_greedy=fast_greedy,
+            lambda fast_greedy: _make(
+                "OLIVE", scenario, use_fast_greedy=fast_greedy
             ),
         )
         assert_results_identical(fast, reference)
 
+    @pytest.mark.parametrize("engine", ["OLIVE", "QUICKG"])
+    @pytest.mark.parametrize(
+        "arrivals_per_node", [0.25, 10.0], ids=["sparse", "dense"]
+    )
+    def test_arrival_rate_regimes_bit_identical(
+        self, engine, arrivals_per_node
+    ):
+        """~7 large requests per slot and ~230 small ones, same
+        utilization: residual churn between two routes from one ingress
+        differs by orders of magnitude."""
+        scenario = build_scenario(
+            ExperimentConfig.test(
+                utilization=1.2, arrivals_per_node=arrivals_per_node
+            ),
+            seed=3, with_plan=engine == "OLIVE",
+        )
+        fast, reference = _run_both(
+            scenario,
+            lambda fast_greedy: _make(
+                engine, scenario, use_fast_greedy=fast_greedy
+            ),
+        )
+        assert_results_identical(fast, reference)
+
+    def test_heterogeneous_link_costs_bit_identical(self):
+        """Mixed link costs make route choice depend on more than hop
+        count; fast and reference must still pick the same trees."""
+        scenario = build_scenario(
+            ExperimentConfig.test(utilization=2.0), seed=7, with_plan=False
+        )
+        base = scenario.substrate
+        mixed = SubstrateNetwork(
+            name=base.name,
+            nodes=dict(base.nodes),
+            links={
+                link: dataclasses.replace(
+                    attrs, cost=attrs.cost * (1.0 + 0.75 * (i % 3))
+                )
+                for i, (link, attrs) in enumerate(base.links.items())
+            },
+        )
+        fast, reference = _run_both(
+            scenario,
+            lambda fast_greedy: _make(
+                "QUICKG", scenario, substrate=mixed,
+                use_fast_greedy=fast_greedy,
+            ),
+        )
+        assert {d.accepted for d in fast.decisions} == {True, False}
+        assert_results_identical(fast, reference)
+
+
+class TestBulkEqualsSequential:
+    """The bulk shapes are the per-request loop, nothing else."""
+
+    def test_session_bulk_paths_equal_sequential_process(self):
+        """Preloaded arrivals (``begin_slot``), ``process_many`` per slot
+        and ``process`` per request: identical results, preemptions
+        included, and identical final residuals."""
+        scenario = build_scenario(
+            ExperimentConfig.test(utilization=1.2), seed=3
+        )
+        online = scenario.online_requests()
+        slots = scenario.config.online_slots
+        by_slot = _by_slot(online)
+
+        preloaded = SimulationSession(_make("OLIVE", scenario), online, slots)
+        for _ in range(slots):
+            preloaded.step()
+
+        def drive(offer_slot):
+            session = SimulationSession(_make("OLIVE", scenario), [], slots)
+            for slot in range(slots):
+                session.begin_slot()
+                offer_slot(session, by_slot.get(slot, []))
+                session.close_slot()
+            return session
+
+        bulk = drive(lambda session, run: session.process_many(run))
+        sequential = drive(
+            lambda session, run: [session.process(r) for r in run]
+        )
+
+        expected = sequential.result()
+        assert expected.preemptions  # the run must exercise preemption
+        for session in (preloaded, bulk):
+            assert_results_identical(session.result(), expected)
+            residual = session.algorithm.residual
+            assert (
+                residual.node_residual
+                == sequential.algorithm.residual.node_residual
+            )
+            assert (
+                residual.link_residual
+                == sequential.algorithm.residual.link_residual
+            )
+
+    def test_algorithm_process_many_equals_process_loop(self):
+        scenario = build_scenario(
+            ExperimentConfig.test(utilization=1.2), seed=3, with_plan=False
+        )
+        run = _by_slot(scenario.online_requests())[0]
+        bulk = _make("QUICKG", scenario)
+        sequential = _make("QUICKG", scenario)
+        assert bulk.process_many(run) == [sequential.process(r) for r in run]
+        assert bulk.residual.link_residual == sequential.residual.link_residual
+        assert bulk.residual.node_residual == sequential.residual.node_residual
+
+
+class TestOneRoutePerEmbed:
+    """GREEDYEMBED runs one shortest-path search per route it needs."""
+
+    def test_single_group_embed_runs_one_dijkstra(self, monkeypatch):
+        scenario = build_scenario(
+            ExperimentConfig.test(topology="tiered-x:120"), seed=1,
+            with_plan=False,
+        )
+        runs = _count_dijkstra_runs(monkeypatch)
+        by_slot = _by_slot(scenario.online_requests())
+        slots = scenario.config.online_slots
+        algorithm = _make("QUICKG", scenario)
+        session = SimulationSession(algorithm, [], slots)
+        offered = 0
+        for slot in range(6):
+            session.begin_slot()
+            decisions = session.process_many(by_slot[slot])
+            session.close_slot()
+            offered += len(decisions)
+        assert runs[0] == offered
+        assert algorithm.greedy_context.stats()["direct_routes"] == offered
+
+    def test_two_group_embed_runs_one_dijkstra_per_route(self, monkeypatch):
+        """Ingress→generic, ingress→GPU, and one tree per GPU host."""
+        scenario = build_scenario(
+            ExperimentConfig.test(gpu_scenario=True, app_mix="gpu"), seed=4,
+            with_plan=False,
+        )
+        residual = ResidualState(scenario.substrate)
+        context = GreedyContext(
+            scenario.substrate, scenario.efficiency, residual
+        )
+        request, app, profile = next(
+            (r, scenario.apps[r.app_index], profile)
+            for r in scenario.online_requests()
+            for profile in [context.profiles.get(scenario.apps[r.app_index])]
+            if len(profile.groups) == 2
+        )
+        gpu_hosts = greedy_module._feasible_hosts(
+            profile.group_load("gpu", request.demand), residual.node_array()
+        )
+        assert gpu_hosts
+        runs = _count_dijkstra_runs(monkeypatch)
+        assert context.embed(request, app) is not None
+        assert runs[0] == len(gpu_hosts) + 2
+        assert context.stats()["direct_routes"] == runs[0]
+
 
 class TestGreedyEmbedEquivalence:
-    """Per-call equivalence of greedy_embed against the reference,
-    including after interleaved allocations (cache invalidation)."""
+    """Per-call equivalence of greedy_embed against the reference, with
+    allocations and releases interleaved between the calls."""
 
-    def test_interleaved_allocations_keep_paths_fresh(self):
+    def test_interleaved_allocations_and_releases_match_reference(self):
         scenario = build_scenario(
             ExperimentConfig.test(utilization=1.4), seed=5, with_plan=False
         )
@@ -123,8 +308,8 @@ class TestGreedyEmbedEquivalence:
         fast_res = ResidualState(substrate)
         ref_res = ResidualState(substrate)
         context = GreedyContext(substrate, efficiency, fast_res)
-        from repro.core.embedding import compute_loads
 
+        committed: list = []
         checked = 0
         for request in scenario.online_requests()[:400]:
             app = scenario.apps[request.app_index]
@@ -143,68 +328,20 @@ class TestGreedyEmbedEquivalence:
             )
             assert loads.nodes == expected_loads.nodes
             assert loads.links == expected_loads.links
-            # Allocate on both sides so residuals (and hence the path
-            # cache's dirty log) evolve identically.
+            # Allocate on both sides so residuals evolve identically;
+            # every fifth accept also frees the oldest allocation, so
+            # later routes see links come back.
             fast_res.allocate(loads)
             ref_res.allocate(expected_loads)
+            committed.append((loads, expected_loads))
             checked += 1
+            if checked % 5 == 0:
+                fast_loads, ref_loads = committed.pop(0)
+                fast_res.release(fast_loads)
+                ref_res.release(ref_loads)
         assert checked > 50  # the scenario must actually exercise accepts
-
-    def test_dirty_log_compaction_preserves_equivalence(self, monkeypatch):
-        """A tiny log bound forces constant compaction; entries whose
-        cursors predate the base must re-anchor instead of delta-sweeping,
-        and decisions must stay identical throughout."""
-        monkeypatch.setattr(ResidualState, "MAX_DIRTY_LOG", 8)
-        scenario = build_scenario(
-            ExperimentConfig.test(utilization=1.2), seed=7, with_plan=False
-        )
-        fast, reference = _run_both(
-            scenario,
-            lambda fast_greedy: make_quickg(
-                scenario.substrate, scenario.apps, scenario.efficiency,
-                use_fast_greedy=fast_greedy,
-            ),
-        )
-        assert_results_identical(fast, reference)
-
-    def test_heterogeneous_link_costs_disable_band_sharing(self):
-        """Tree reuse across loads is only proven exact for uniform link
-        costs; a mixed-cost substrate must recompute per lookup (and
-        still match the reference)."""
-        from tests.conftest import make_line_substrate
-        from repro.substrate.network import substrate_index
-
-        substrate = make_line_substrate()
-        # Give one link a different cost so the uniformity check trips.
-        attrs = substrate.links[("core", "transport")]
-        substrate.links[("core", "transport")] = type(attrs)(
-            tier=attrs.tier, capacity=attrs.capacity, cost=2.5
-        )
-        substrate.__dict__.pop("_index", None)  # rebuild the cached index
-        residual = ResidualState(substrate)
-        context = GreedyContext(substrate, None, residual)
-        assert context.paths.band_sharing is False
-        index = substrate_index(substrate)
-        source = index.node_index["edge-a"]
-        context.paths.lookup(source, 5.0)
-        context.paths.lookup(source, 7.0)
-        # No reuse across loads: every lookup on a mixed-cost substrate
-        # runs a fresh Dijkstra.
-        assert context.paths.misses == 2
-
-    def test_uniform_costs_enable_band_sharing(self):
-        scenario = build_scenario(
-            ExperimentConfig.test(), seed=8, with_plan=False
-        )
-        residual = ResidualState(scenario.substrate)
-        context = GreedyContext(
-            scenario.substrate, scenario.efficiency, residual
-        )
-        assert context.paths.band_sharing is True
-        source = residual.index.node_index[scenario.substrate.edge_nodes[0]]
-        context.paths.lookup(source, 5.0)
-        context.paths.lookup(source, 7.0)
-        assert context.paths.hits == 1 and context.paths.misses == 1
+        assert fast_res.link_residual == ref_res.link_residual
+        assert fast_res.node_residual == ref_res.node_residual
 
     def test_transient_context_wrapper_matches(self):
         scenario = build_scenario(

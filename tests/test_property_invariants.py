@@ -9,7 +9,7 @@ the OLIVE allocation machinery (OLIVE, QUICKG, OLIVE-W):
    decision log).
 2. Substrate residual plus the recomputed loads of the active
    allocations equals capacity on every node and link — the incremental
-   bookkeeping (and its numpy/dirty-log backend) never drifts from the
+   bookkeeping (and its indexed-list backend) never drifts from the
    ground truth.
 
 Unlike ``test_property_olive.py`` (hand-built substrates, synthetic

@@ -171,6 +171,71 @@ class TestOfferMany:
             final_many.allocated_demand, final_one.allocated_demand
         )
 
+    def test_error_mid_run_leaves_the_sequential_log(self):
+        """A retried id inside one run raises after its predecessors
+        committed: the session log must hold exactly what ``offer()``
+        calls would have logged — for ``offer_many`` and for scheduled
+        arrivals alike."""
+        from repro.experiments.scenario import build_scenario, make_algorithm
+        from repro.scenarios.events import capacity_invariant_gap
+        from repro.sim.engine import simulate
+
+        scenario = build_scenario(
+            ExperimentConfig.test(utilization=1.2), seed=3
+        )
+        slots = scenario.config.online_slots
+        online = sorted(scenario.online_requests())
+        clean = simulate(make_algorithm("OLIVE", scenario), online, slots)
+        # Fail in the first slot that preempts, after the preemption:
+        # the run ends at that slot's last accepted request, retried.
+        slot = clean.preemptions[0][1]
+        before = [r for r in online if r.arrival < slot]
+        run = [d.request for d in clean.decisions if d.request.arrival == slot]
+        last = max(
+            i for i, d in enumerate(clean.decisions[len(before):][:len(run)])
+            if d.accepted
+        )
+        run = run[:last + 1]
+        failing = run + [run[-1]]
+
+        def session(preloaded=()):
+            return SimulationSession(
+                make_algorithm("OLIVE", scenario), preloaded, slots
+            )
+
+        sequential = EmbedderService(session())
+        sequential.offer_many(before)
+        with pytest.raises(SimulationError, match="processed twice"):
+            for request in failing:
+                sequential.offer(request)
+
+        bulk = EmbedderService(session())
+        bulk.offer_many(before)
+        with pytest.raises(SimulationError, match="processed twice"):
+            bulk.offer_many(failing)
+
+        # (arrival, id) order keeps the scheduled duplicate last as well.
+        scheduled = session(before + failing)
+        scheduled.run_until(slot)
+        with pytest.raises(SimulationError, match="processed twice"):
+            scheduled.begin_slot()
+
+        sequential.session.close_slot()
+        expected = sequential.session.result()
+        assert len(expected.decisions) == len(before) + len(run)
+        assert any(t == slot for _, t in expected.preemptions)
+        for other in (bulk.session, scheduled):
+            other.close_slot()
+            got = other.result()
+            assert got.decisions == expected.decisions
+            assert got.preemptions == expected.preemptions
+            assert np.array_equal(
+                got.requested_demand, expected.requested_demand
+            )
+            assert capacity_invariant_gap(other.algorithm) == pytest.approx(
+                0.0, abs=1e-6
+            )
+
     def test_offer_many_spans_slots(self, line_substrate, chain_app):
         service = _service(line_substrate, chain_app)
         requests = [

@@ -346,32 +346,17 @@ class TestSnapshot:
         finally:
             gc.enable()
 
-    def test_restored_path_cache_starts_cold(self, line_substrate, chain_app):
-        # cache_mode="banded" pins the band cache on, so trees exist to
-        # be left behind on this 4-node substrate.
-        algorithm = make_quickg(
-            line_substrate, [chain_app], greedy_cache_mode="banded"
-        )
+    def test_greedy_counters_survive_restore(self, line_substrate, chain_app):
+        algorithm = make_quickg(line_substrate, [chain_app])
         session = SimulationSession(
             algorithm, [_request(i, arrival=i % 4) for i in range(8)], 10
         )
         session.run_until(4)
         live = algorithm.greedy_context
-        assert live.paths.entries and live.paths.misses > 0
-        live.bypass.switches = 3  # controller state is durable too
+        assert live.stats()["direct_routes"] == 8
 
         resumed = SimulationSession.restore(session.snapshot())
-        context = resumed.algorithm.greedy_context
-        # Derived: the trees stay behind. Durable: the counters travel.
-        assert context.paths.entries == {}
-        assert live.paths.entries, "snapshotting must not empty the live cache"
-        assert context.stats() == live.stats()  # hits, misses, bypass
-        assert context.stats()["mode_switches"] == 3
-        # The first lookup after restore is a miss that refills the cache.
-        source = context.index.node_index["edge-a"]
-        context.paths.lookup(source, 1.0)
-        assert context.paths.misses == live.paths.misses + 1
-        assert list(context.paths.entries) == [source]
+        assert resumed.algorithm.greedy_context.stats() == live.stats()
         assert resumed.run().decisions == session.run().decisions
 
     def test_restored_session_accepts_new_submissions(
