@@ -5,13 +5,13 @@ them against the published values; benchmarks topology construction time.
 """
 
 from _bench_utils import record
+from repro.registry import topology_registry
 from repro.substrate.tiers import (
     TIER_LINK_CAPACITY,
     TIER_MEAN_NODE_COST,
     TIER_NODE_CAPACITY,
     Tier,
 )
-from repro.substrate.topologies import TOPOLOGY_BUILDERS
 
 #: Table II published rows: name → (nodes, links).
 PUBLISHED = {
@@ -26,9 +26,7 @@ def test_table2_topologies(benchmark):
     def build_all():
         # Sized scale families (tiered-x, waxman, ...) have no published
         # Table II row; BENCH_scale covers them at parameterized sizes.
-        return {
-            name: TOPOLOGY_BUILDERS[name]() for name in PUBLISHED
-        }
+        return {name: topology_registry.create(name) for name in PUBLISHED}
 
     substrates = benchmark.pedantic(build_all, rounds=1, iterations=1)
 

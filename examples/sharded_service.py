@@ -13,9 +13,10 @@ that is hard-killed mid-run:
    — one worker process per shard — and drive it with Poisson traffic,
    watching the merged rolling metrics and the two-phase cross-shard
    ledger;
-3. kill a worker process at a slot boundary, restore a spare from its
-   latest checkpoint, keep serving — and verify the full decision
-   stream is bit-identical to a run where nothing died;
+3. kill a worker process of a rate-limited (`token-bucket`) service at
+   a slot boundary, restore a spare from its latest checkpoint, keep
+   serving — and verify the full decision stream and the shed count
+   are bit-identical to a run where nothing died;
 4. check the K=1 contract: a single-shard sharded service reproduces
    the unsharded `EmbedderService` decision for decision.
 
@@ -76,11 +77,15 @@ def main(seed: int = 42) -> None:
           f"{cross['commits']} committed / {cross['aborts']} aborted\n")
 
     # -- 3: kill a worker mid-run, restore a spare, compare ----------------
-    undisturbed = experiment.serve(seed=seed, shards=3)
+    # A stateful admission policy: the spare must inherit the bucket.
+    limited = dict(admission="token-bucket",
+                   admission_params={"rate": 6.0, "burst": 12.0})
+    undisturbed = experiment.serve(seed=seed, shards=3, **limited)
     with undisturbed:
         expected = drive(undisturbed, traffic)
+        expected_shed = undisturbed.metrics().shed
 
-    service = experiment.serve(seed=seed, shards=3)
+    service = experiment.serve(seed=seed, shards=3, **limited)
     kill_slot, kill_shard = config.online_slots // 2, 1
     with service:
         actual = drive(service, traffic[:kill_slot])
@@ -90,10 +95,13 @@ def main(seed: int = 42) -> None:
               f"(alive={service.worker_alive(kill_shard)}); restoring...")
         service.restore_worker(kill_shard)
         actual += drive(service, traffic[kill_slot:])
+        shed = service.metrics().shed
     identical = actual == expected
     print(f"restored from the slot-{kill_slot} checkpoint: "
-          f"{len(actual)} decisions, identical={identical}\n")
+          f"{len(actual)} decisions, identical={identical}, "
+          f"shed {shed} vs {expected_shed} undisturbed\n")
     assert identical, "failover diverged from the undisturbed run"
+    assert shed == expected_shed > 0, "the spare lost its admission state"
 
     # -- 4: the K=1 contract ----------------------------------------------
     oracle = experiment.serve(seed=seed)

@@ -10,10 +10,11 @@ generated Poisson arrival process, one slot at a time:
 2. stream synthetic offers into `service.offer(request)` and watch the
    rolling metrics (acceptance rate, utilization, decision-latency
    percentiles) the `MetricsStream` publishes after every slot;
-3. checkpoint the service mid-run with `service.snapshot()`, keep
-   serving, then restore the checkpoint and replay the identical tail —
-   the decisions match bit-for-bit, which is what makes checkpoints
-   safe for failover;
+3. checkpoint a rate-limited service mid-run with `service.snapshot()`,
+   keep serving, then `EmbedderService.restore(checkpoint)` and replay
+   the identical tail — decisions *and* shed count match bit-for-bit,
+   because the token bucket's level rides the checkpoint; that is what
+   makes checkpoints safe for failover;
 4. compare admission policies on the same traffic: a token-bucket
    rate limiter sheds load before the algorithm spends any work on it.
 
@@ -23,8 +24,7 @@ Run:  python examples/streaming_service.py [--seed N]
 import argparse
 
 from repro import Experiment, ExperimentConfig
-from repro.serve import poisson_offers
-from repro.sim.session import SimulationSession
+from repro.serve import EmbedderService, poisson_offers
 from repro.utils.rng import child_rng, make_rng
 
 
@@ -59,25 +59,23 @@ def main(seed: int = 42) -> None:
           f"({result.requests_per_second:.0f} req/s)\n")
 
     # -- 3: checkpoint, keep serving, restore, replay ----------------------
-    service = experiment.serve(seed=seed)
+    service = experiment.serve(seed=seed, admission="token-bucket",
+                               admission_params={"rate": 6.0, "burst": 12.0})
     rng = child_rng(make_rng(seed), "traffic")   # same traffic again
     traffic = list(poisson_offers(service.scenario, config.online_slots, rng))
     drive(service, traffic[:20])
     checkpoint = service.snapshot()              # taken at slot 20
     tail = drive(service, traffic[20:])          # keep serving the tail
 
-    resumed = SimulationSession.restore(checkpoint)
-    replayed = []
-    for slot, batch in traffic[20:]:
-        resumed.run_until(slot)
-        resumed.begin_slot()
-        for request in batch:
-            replayed.append(resumed.process(request))
-        resumed.close_slot()
+    resumed = EmbedderService.restore(checkpoint)  # admission state included
+    replayed = drive(resumed, traffic[20:])
     identical = replayed == tail
+    shed, replayed_shed = service.metrics.shed, resumed.metrics.shed
     print(f"checkpoint at slot {checkpoint.clock}: replayed "
-          f"{len(replayed)} tail decisions, identical={identical}\n")
+          f"{len(replayed)} tail decisions, identical={identical}, "
+          f"shed {replayed_shed} vs {shed} live\n")
     assert identical, "checkpoint replay diverged from the live run"
+    assert replayed_shed == shed > 0, "the restored bucket lost its state"
 
     # -- 4: admission policies shape the same traffic ----------------------
     print("same traffic under different admission policies:")

@@ -109,7 +109,6 @@ from repro.sim import (
     SimulationResult,
     SimulationSession,
     SlotReport,
-    SlotSimulator,
     balance_index,
     confidence_interval,
     cost_breakdown,
@@ -212,7 +211,6 @@ __all__ = [
     "SlotOffAlgorithm",
     # sim
     "simulate",
-    "SlotSimulator",
     "SimulationResult",
     "SimulationSession",
     "SessionSnapshot",

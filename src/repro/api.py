@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import inspect
 import io
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -193,27 +193,20 @@ def summarize_run(
 
 @dataclass(frozen=True)
 class _PointTask:
-    """One repetition of one sweep point, picklable for the process pool.
-
-    ``run_fn``/``summarize_fn`` are module-level functions (pickled by
-    reference), letting the legacy ``figures`` shims route the engine
-    through their own monkeypatchable names.
-    """
+    """One repetition of one sweep point, picklable for the process pool."""
 
     config: ExperimentConfig
     algorithms: tuple[str, ...]
     scenario_kwargs: tuple[tuple[str, object], ...]
-    run_fn: Callable = run_single
-    summarize_fn: Callable = summarize_run
 
     def __call__(self, seed: int) -> dict[str, float]:
-        scenario, results = self.run_fn(
+        scenario, results = run_single(
             self.config,
             seed,
             self.algorithms,
             **dict(self.scenario_kwargs),
         )
-        return self.summarize_fn(scenario, results)
+        return summarize_run(scenario, results)
 
 
 #: Everything under this directory is covered by the cache's own
@@ -280,8 +273,6 @@ def run_point(
     algorithms: Sequence[str],
     runner: ParallelRunner | None = None,
     use_cache: bool = True,
-    run_fn: Callable = run_single,
-    summarize_fn: Callable = summarize_run,
     **scenario_kwargs,
 ) -> dict[str, ConfidenceInterval]:
     """Repeat one configuration and summarize with confidence intervals.
@@ -313,8 +304,6 @@ def run_point(
         config,
         tuple(algorithms),
         tuple(sorted(scenario_kwargs.items())),
-        run_fn,
-        summarize_fn,
     )
     if runner is None:
         runner = get_default_runner()

@@ -131,7 +131,6 @@ _EXECUTOR_CONSTRUCTORS = {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool"}
 
 _POOL_METHODS = {"submit", "map"}
 _RUNNER_METHODS = {"repeat"}
-_SUBMITTER_FUNCTIONS = {"repeat_runs"}
 _POOLISH_TOKENS = ("pool", "executor")
 _RUNNERISH_TOKENS = ("runner",)
 
@@ -275,7 +274,7 @@ class SubmissionSite:
     node: ast.Call
     module: str
     function: str  # within-module qualname of the enclosing scope
-    kind: str  # "submit" | "map" | "repeat" | "repeat_runs"
+    kind: str  # "submit" | "map" | "repeat"
     argument: ast.expr | None
     entrypoints: tuple[str, ...]  # resolved worker entrypoint qualnames
     unpicklable: str | None  # phrase when the callable cannot pickle
@@ -717,13 +716,6 @@ class _ModuleCollector(ast.NodeVisitor):
                 func.value
             ):
                 kind = func.attr
-        else:
-            candidate = self.context.imports.qualify(func)
-            if (
-                candidate is not None
-                and candidate.rsplit(".", 1)[-1] in _SUBMITTER_FUNCTIONS
-            ):
-                kind = "repeat_runs"
         if kind is None:
             return
         argument = node.args[0] if node.args else None

@@ -413,7 +413,7 @@ class _FrozenMutationVisitor(_CollectingVisitor):
                 "access to Registry._entries outside repro.registry — the "
                 "entry table's insertion order and duplicate policy are "
                 "the registry's invariants; use register()/unregister()/"
-                "get()/as_mapping()",
+                "get()/names()",
             )
         self.generic_visit(node)
 

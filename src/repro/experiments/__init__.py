@@ -21,7 +21,6 @@ from repro.experiments.figures import (
     run_rejection_vs_utilization,
     run_runtime_scaling,
     run_shifted_plan,
-    run_single,
     run_unexpected_demand,
 )
 from repro.experiments.scenario import (
@@ -42,7 +41,6 @@ __all__ = [
     "algorithms_need_plan",
     "build_scenario",
     "make_algorithm",
-    "run_single",
     "run_rejection_vs_utilization",
     "run_demand_zoom",
     "run_by_application",

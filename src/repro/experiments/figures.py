@@ -8,9 +8,8 @@ engine, and returns plain dicts of
 ``"{algorithm}:{metric}"`` — ready for the benchmark harness to print
 paper-shaped tables.
 
-``run_single``/``summarize_run``/``_sweep`` are kept as deprecation
-shims over their :mod:`repro.api` equivalents so pre-facade callers and
-tests keep working; new code should use :mod:`repro.api` directly.
+Single repetitions and sweep points are :func:`repro.api.run_single`,
+:func:`repro.api.summarize_run` and :func:`repro.api.run_point`.
 """
 
 from __future__ import annotations
@@ -20,15 +19,11 @@ from collections.abc import Sequence
 from repro import api
 from repro.api import DEFAULT_ALGORITHMS
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenario import Scenario
-from repro.sim.engine import SimulationResult
 from repro.sim.metrics import NodeTimeline, demand_series
 from repro.sim.runner import ConfidenceInterval, ParallelRunner
 
 __all__ = [
     "DEFAULT_ALGORITHMS",
-    "run_single",
-    "summarize_run",
     "run_rejection_vs_utilization",
     "run_demand_zoom",
     "run_by_application",
@@ -45,44 +40,6 @@ __all__ = [
     "scale_config",
     "run_scale",
 ]
-
-
-def run_single(
-    config: ExperimentConfig,
-    seed: int,
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    **scenario_kwargs,
-) -> tuple[Scenario, dict[str, SimulationResult]]:
-    """Deprecated shim for :func:`repro.api.run_single`."""
-    return api.run_single(config, seed, algorithms, **scenario_kwargs)
-
-
-def summarize_run(
-    scenario: Scenario, results: dict[str, SimulationResult]
-) -> dict[str, float]:
-    """Deprecated shim for :func:`repro.api.summarize_run`."""
-    return api.summarize_run(scenario, results)
-
-
-def _sweep(
-    config: ExperimentConfig,
-    algorithms: Sequence[str],
-    runner: ParallelRunner | None = None,
-    **scenario_kwargs,
-) -> dict[str, ConfidenceInterval]:
-    """Deprecated shim for :func:`repro.api.run_point`.
-
-    Routes the engine through this module's ``run_single``/
-    ``summarize_run`` names so monkeypatches on them keep working.
-    """
-    return api.run_point(
-        config,
-        algorithms,
-        runner=runner,
-        run_fn=run_single,
-        summarize_fn=summarize_run,
-        **scenario_kwargs,
-    )
 
 
 def _experiment(
@@ -119,7 +76,7 @@ def run_demand_zoom(
     seed: int | None = None,
 ) -> dict[str, dict]:
     """Per-slot requested vs allocated demand in a zoom window (Fig. 8)."""
-    scenario, results = run_single(
+    scenario, results = api.run_single(
         config, seed if seed is not None else config.base_seed, algorithms
     )
     return {
@@ -195,7 +152,7 @@ def collect_node_timeline(
     seed: int | None = None,
 ) -> NodeTimeline:
     """OLIVE's guaranteed/borrowed/preempted activity at one node (Fig. 12)."""
-    scenario, results = run_single(
+    scenario, results = api.run_single(
         config, seed if seed is not None else config.base_seed, ["OLIVE"]
     )
     return NodeTimeline.collect(

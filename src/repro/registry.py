@@ -177,35 +177,6 @@ class Registry:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def as_mapping(self) -> Mapping[str, Factory]:
-        """A live read-only ``{name: factory}`` view (legacy dict shape)."""
-        return _FactoryView(self)
-
-
-class _FactoryView(Mapping[str, Factory]):
-    """Read-only mapping proxy exposing a registry as ``{name: factory}``.
-
-    Kept so legacy constants like ``TOPOLOGY_BUILDERS`` stay importable
-    and reflect late registrations.
-    """
-
-    def __init__(self, registry: Registry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> Factory:
-        # Mapping contract: missing keys raise KeyError (``in`` relies on
-        # it); the registry's rich domain error stays on ``Registry.get``.
-        try:
-            return self._registry._entries[name].factory
-        except KeyError:
-            raise KeyError(name) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry)
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
 
 #: Online embedding algorithms: ``factory(scenario) -> algorithm``.
 algorithm_registry = Registry("algorithm", error=SimulationError)

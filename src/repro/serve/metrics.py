@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.sim.session import SlotReport
@@ -98,6 +98,27 @@ class MetricsStream:
         self.slots = 0
         self._subscribers: list[Callable[[ServiceMetrics], None]] = []
         self._latest: ServiceMetrics | None = None
+
+    def __getstate__(self) -> dict:
+        # Subscribers are live callables wired up by the owning process;
+        # counters and windows travel with a checkpoint, they do not.
+        return {**self.__dict__, "_subscribers": []}
+
+    @classmethod
+    def merged(cls, streams: "Sequence[MetricsStream]") -> "MetricsStream":
+        """One stream holding ``streams``' summed counters and their
+        concatenated windows (what a sharded frontend reports)."""
+        total = cls(window=sum(stream.window for stream in streams))
+        for stream in streams:
+            total.offers += stream.offers
+            total.accepted += stream.accepted
+            total.rejected += stream.rejected
+            total.shed += stream.shed
+            total.disrupted += stream.disrupted
+            total.slots += stream.slots
+            total._outcomes.extend(stream._outcomes)
+            total._latencies.extend(stream._latencies)
+        return total
 
     # -- recording -----------------------------------------------------------
 

@@ -12,7 +12,7 @@ ROADMAP's long-running embedder serving live traffic:
   events and per-slot accounting are paid once per slot, not once per
   offer. ``offer_many`` takes an explicit list and additionally pays
   the per-offer session plumbing once per slot run, bit-identical to
-  sequential offers (``offer_batch`` is an alias).
+  sequential offers.
 * ``schedule(request) → bool`` — enqueue a future arrival, subject to
   the ``max_pending`` queue bound (backpressure: a full queue sheds
   instead of growing without limit).
@@ -22,6 +22,10 @@ ROADMAP's long-running embedder serving live traffic:
 * ``metrics`` — a :class:`~repro.serve.metrics.MetricsStream` fed on
   every offer and every closed slot; subscribe to watch acceptance
   rate, utilization and decision-latency percentiles live.
+* ``snapshot()`` / ``restore(snapshot)`` — the service is the checkpoint
+  unit: session, admission state, ``max_pending`` and the metrics
+  counters ride one pickle, so a resumed service (or a shard worker
+  booted from the bytes) sheds and decides as if it had never stopped.
 
 The service requires a per-request algorithm (OLIVE, QUICKG, FULLG, or
 anything registered with ``process()``); batch algorithms (SLOTOFF)
@@ -30,6 +34,7 @@ solve whole slots at once and cannot answer an offer synchronously.
 
 from __future__ import annotations
 
+import pickle
 import time
 from collections import deque
 from typing import Any
@@ -40,7 +45,13 @@ from repro.registry import admission_policy_registry
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.metrics import MetricsStream, ServiceMetrics
 from repro.sim.engine import SimulationResult
-from repro.sim.session import SessionSnapshot, SimulationSession, SlotReport
+from repro.sim.session import (
+    SessionSnapshot,
+    SimulationSession,
+    SlotReport,
+    dump_checkpoint,
+    load_checkpoint,
+)
 from repro.workload.request import Request
 
 
@@ -229,10 +240,6 @@ class EmbedderService:
             i = j
         return decisions
 
-    def offer_batch(self, requests: list[Request]) -> list[Decision]:
-        """Compatibility alias for :meth:`offer_many`."""
-        return self.offer_many(requests)
-
     def schedule(self, request: Request) -> bool:
         """Enqueue a future arrival; False when backpressure sheds it.
 
@@ -286,22 +293,35 @@ class EmbedderService:
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> SessionSnapshot:
-        """Checkpoint the underlying session (slot boundaries only).
+        """Checkpoint the service (slot boundaries only).
 
-        One pickle of the session's durable state, held as bytes (see
-        :class:`~repro.sim.session.SessionSnapshot`). The rolling
-        metrics stream is operational state, not simulation state — it
-        is *not* part of the checkpoint; a service resumed from the
-        snapshot starts a fresh stream.
+        One pickle of the service's durable state, held as bytes (see
+        :class:`~repro.sim.session.SessionSnapshot`): the session, the
+        admission policy instance with whatever state it keeps,
+        ``max_pending``, :attr:`recent_shed` and the metrics counters
+        and windows. Process wiring stays behind — metrics subscribers
+        and :attr:`scenario` — so :meth:`restore` resumes deciding
+        exactly where this service stood and notifies nobody.
         """
-        return self.session.snapshot()
+        try:
+            pickle.dumps(self.admission)
+        except (pickle.PicklingError, TypeError, AttributeError) as error:
+            raise SimulationError(
+                f"admission policy {type(self.admission).__name__} cannot "
+                "be checkpointed: its state rides the service snapshot and "
+                f"does not pickle ({type(error).__name__}: {error})"
+            ) from error
+        return dump_checkpoint(self, self.session)
 
     @classmethod
-    def restore(
-        cls, snapshot: SessionSnapshot, **service_kwargs: Any
-    ) -> "EmbedderService":
-        """A new service over a session resumed from ``snapshot``."""
-        return cls(SimulationSession.restore(snapshot), **service_kwargs)
+    def restore(cls, snapshot: SessionSnapshot) -> "EmbedderService":
+        """The service resumed from one of its own snapshots."""
+        return load_checkpoint(snapshot, cls)
+
+    def __getstate__(self) -> dict:
+        # The scenario is context for traffic generators in the process
+        # that built it; the service never reads it.
+        return {**self.__dict__, "scenario": None}
 
     # -- internals -----------------------------------------------------------
 

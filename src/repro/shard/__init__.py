@@ -12,11 +12,12 @@ up, in three layers:
   sub-substrate per shard plus a capacity ledger over the boundary
   links;
 * :mod:`repro.shard.worker` runs one
-  :class:`~repro.sim.session.SimulationSession` per shard — inline for
+  :class:`~repro.serve.EmbedderService` per shard — inline for
   deterministic tests, or in a child process for real parallelism —
-  booted from and checkpointed to the pickle-certified
-  :class:`~repro.sim.session.SessionSnapshot` boundary, so a killed
-  worker restores on a spare bit-identically;
+  booted from and checkpointed to the service's own snapshot bytes
+  (:class:`~repro.sim.session.SessionSnapshot`, the pickle-certified
+  boundary), so a killed worker restores on a spare bit-identically,
+  admission state included;
 * :mod:`repro.shard.frontend` exposes
   :class:`~repro.shard.frontend.ShardedEmbedderService`, mirroring the
   ``offer``/``offer_many``/``tick``/``finish`` surface of the unsharded
@@ -38,11 +39,7 @@ from repro.shard.partition import (
     partition_substrate,
     restrict_plan,
 )
-from repro.shard.worker import (
-    InlineShardWorker,
-    ProcessShardWorker,
-    WorkerCheckpoint,
-)
+from repro.shard.worker import InlineShardWorker, ProcessShardWorker
 
 __all__ = [
     "BoundaryLedger",
@@ -52,7 +49,6 @@ __all__ = [
     "ShardedEmbedderService",
     "ShardedRunResult",
     "SubstratePartition",
-    "WorkerCheckpoint",
     "partition_substrate",
     "register_shard_policy",
     "restrict_plan",

@@ -22,7 +22,9 @@ The frontend mirrors the :class:`~repro.serve.EmbedderService` surface
    slot boundary (``checkpoint_every``); :meth:`kill_worker` +
    :meth:`restore_worker` replace a dead worker with a spare booted
    from its latest checkpoint, bit-identically to a worker that never
-   died. A checkpoint is one pickle of each worker's durable state.
+   died. A checkpoint is the worker's service snapshot — one pickle of
+   session, admission state and metrics counters; the frontend keeps
+   the bytes and reads only their header.
 
 Fidelity notes, deliberate and documented:
 
@@ -52,7 +54,7 @@ from repro.apps.application import ROOT_ID
 from repro.core.olive import Decision
 from repro.errors import ShardError, SimulationError
 from repro.registry import algorithm_registry
-from repro.serve.metrics import ServiceMetrics, _percentile
+from repro.serve.metrics import MetricsStream, ServiceMetrics
 from repro.serve.service import EmbedderService
 from repro.shard.partition import (
     SubstratePartition,
@@ -62,7 +64,7 @@ from repro.shard.partition import (
 from repro.shard.worker import (
     InlineShardWorker,
     ProcessShardWorker,
-    WorkerCheckpoint,
+    read_checkpoint,
 )
 from repro.sim.engine import SimulationResult
 from repro.sim.session import SimulationSession
@@ -150,9 +152,6 @@ class ShardedEmbedderService:
         self.cross_shard = cross_shard
         self.checkpoint_every = checkpoint_every
         self._worker_kind = workers
-        self._admission = admission
-        self._admission_params = dict(admission_params or {})
-        self._metrics_window = metrics_window
         self._clock = 0
         self._decisions: list[Decision] = []
         self._offered_in_slot: set[int] = set()
@@ -172,12 +171,17 @@ class ShardedEmbedderService:
         self._checkpoints: list[bytes] = []
         self._workers: list[Any] = []
         for region in self.partition.shards:
-            checkpoint = self._boot_checkpoint(region)
-            self._checkpoints.append(checkpoint.to_bytes())
-            self._workers.append(self._spawn(checkpoint))
+            service = EmbedderService(
+                self._shard_session(region),
+                admission=admission,
+                admission_params=admission_params,
+                metrics_window=metrics_window,
+            )
+            self._checkpoints.append(service.snapshot().to_bytes())
+            self._workers.append(self._spawn(region.shard_id))
 
-    def _boot_checkpoint(self, region) -> WorkerCheckpoint:
-        """Build shard ``region``'s service at slot 0 and checkpoint it.
+    def _shard_session(self, region) -> SimulationSession:
+        """Shard ``region``'s empty session at slot 0.
 
         The shard scenario swaps in the region's sub-substrate and the
         plan slice it can use; the algorithm then comes from the same
@@ -189,25 +193,20 @@ class ShardedEmbedderService:
             substrate=region.substrate,
             plan=restrict_plan(self.scenario.plan, region.substrate),
         )
-        session = SimulationSession(
+        return SimulationSession(
             algorithm_registry.create(self.algorithm_name, shard_scenario),
             (),
             self.horizon,
         )
-        service = EmbedderService(
-            session,
-            admission=self._admission,
-            admission_params=self._admission_params or None,
-            metrics_window=self._metrics_window,
-        )
-        return WorkerCheckpoint.capture(
-            region.shard_id, service, self._admission, self._admission_params
-        )
 
-    def _spawn(self, checkpoint: WorkerCheckpoint):
-        if self._worker_kind == "process":
-            return ProcessShardWorker(checkpoint)
-        return InlineShardWorker(checkpoint)
+    def _spawn(self, shard: int):
+        """A worker booted from shard ``shard``'s latest checkpoint."""
+        worker = (
+            ProcessShardWorker
+            if self._worker_kind == "process"
+            else InlineShardWorker
+        )
+        return worker(shard, self._checkpoints[shard])
 
     # -- introspection -------------------------------------------------------
 
@@ -251,10 +250,6 @@ class ShardedEmbedderService:
             decisions.extend(self._offer_run(requests[i:j]))
             i = j
         return decisions
-
-    def offer_batch(self, requests: list[Request]) -> list[Decision]:
-        """Compatibility alias for :meth:`offer_many`."""
-        return self.offer_many(requests)
 
     def _offer_run(self, run: list[Request]) -> list[Decision]:
         """One same-slot run: route, collect, cross-shard resolve, log."""
@@ -454,38 +449,23 @@ class ShardedEmbedderService:
         self._require_open()
         for worker in self._workers:
             worker.send("metrics")
-        summaries = [worker.recv() for worker in self._workers]
-        offers = sum(s["offers"] for s in summaries)
-        accepted = sum(s["accepted"] for s in summaries)
-        outcomes = [flag for s in summaries for flag in s["outcomes"]]
-        latencies = sorted(
-            value for s in summaries for value in s["latencies"]
+        streams, utilizations, pending = zip(
+            *(worker.recv() for worker in self._workers)
         )
         total_capacity = sum(r.capacity for r in self.partition.shards)
         utilization = (
             sum(
-                s["utilization"] * region.capacity
-                for s, region in zip(summaries, self.partition.shards)
+                shard_utilization * region.capacity
+                for shard_utilization, region in zip(
+                    utilizations, self.partition.shards
+                )
             )
             / total_capacity
             if total_capacity
             else 0.0
         )
-        return ServiceMetrics(
-            slot=self._clock,
-            offers=offers,
-            accepted=accepted,
-            rejected=sum(s["rejected"] for s in summaries),
-            shed=sum(s["shed"] for s in summaries),
-            pending=sum(s["pending"] for s in summaries),
-            utilization=utilization,
-            acceptance_rate=accepted / offers if offers else 1.0,
-            rolling_acceptance_rate=(
-                sum(outcomes) / len(outcomes) if outcomes else 1.0
-            ),
-            p50_latency_ms=_percentile(latencies, 0.50) * 1e3,
-            p99_latency_ms=_percentile(latencies, 0.99) * 1e3,
-            disrupted=sum(s["disrupted"] for s in summaries),
+        return MetricsStream.merged(streams).snapshot(
+            self._clock, utilization, sum(pending)
         )
 
     # -- checkpointing / failover --------------------------------------------
@@ -509,7 +489,7 @@ class ShardedEmbedderService:
         states per-slot checkpointing guarantees exist. The spare is
         bit-identical to the worker that died.
         """
-        checkpoint = WorkerCheckpoint.from_bytes(self._checkpoints[shard])
+        checkpoint = read_checkpoint(shard, self._checkpoints[shard])
         if checkpoint.clock != self._clock:
             raise ShardError(
                 f"shard {shard}'s latest checkpoint is at slot "
@@ -524,7 +504,7 @@ class ShardedEmbedderService:
         old = self._workers[shard]
         if old.alive:
             old.close()
-        self._workers[shard] = self._spawn(checkpoint)
+        self._workers[shard] = self._spawn(shard)
 
     def worker_alive(self, shard: int) -> bool:
         return self._workers[shard].alive

@@ -1,10 +1,11 @@
-"""Per-shard session workers: one embedder per shard, checkpoint-first.
+"""Per-shard workers: one embedder service per shard, checkpoint-first.
 
 A shard worker owns one :class:`~repro.serve.EmbedderService` over its
-shard's sub-substrate. Both implementations boot **from a checkpoint**
-(:class:`WorkerCheckpoint`) and execute the same command set through
-one shared interpreter (:func:`_execute`), so the in-process and the
-child-process worker are decision-identical by construction:
+shard's sub-substrate. Both implementations boot **from a service
+checkpoint** — the bytes of ``EmbedderService.snapshot().to_bytes()`` —
+and execute the same command set through one shared interpreter
+(:func:`_execute`), so the in-process and the child-process worker are
+decision-identical by construction:
 
 * :class:`InlineShardWorker` runs the service in the calling process —
   zero IPC, the deterministic baseline the shard tests drive;
@@ -12,12 +13,14 @@ child-process worker are decision-identical by construction:
   which is where the aggregate-throughput win comes from: K workers
   embed their shard's slot batch on K cores concurrently.
 
-Everything crossing the process boundary rides the pickle-certified
-:class:`~repro.sim.session.SessionSnapshot` surface (the RPS audit of
-PR 8 pins that boundary): a worker's boot payload is a serialized
-checkpoint, and its per-slot ``checkpoint`` command returns a fresh one
-— which is exactly what makes kill-and-restore-on-a-spare bit-identical
-to an undisturbed run.
+There is one checkpoint format: a worker's boot payload, its
+``checkpoint`` reply and a service snapshot's bytes are the same thing
+(:class:`~repro.sim.session.SessionSnapshot`, the pickle boundary the
+RPS audit certifies). The service is pickled whole — session, admission
+policy state, metrics counters — which is what makes
+kill-and-restore-on-a-spare bit-identical to an undisturbed run, shed
+offers included. A payload is validated from its header, in the parent,
+before anything is unpickled or spawned.
 
 Pool discipline follows :mod:`repro.sim.runner`: spawning workers is a
 parent-process-only operation (``_require_parent_process``), and this
@@ -29,158 +32,37 @@ parent and its children.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 from collections import deque
-from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ShardError
-from repro.serve.metrics import MetricsStream
+from repro.errors import ShardError, SimulationError
 from repro.serve.service import EmbedderService
 from repro.sim.runner import _require_parent_process
-from repro.sim.session import SessionSnapshot, SimulationSession
+from repro.sim.session import SessionSnapshot
 
 
-def freeze_metrics(metrics: MetricsStream) -> dict:
-    """The picklable value-state of a metrics stream.
-
-    Subscribers are live callables (operational wiring, often
-    unpicklable) and deliberately stay behind — a restored worker starts
-    with the counters and rolling windows of the original but notifies
-    nobody until the owning frontend re-subscribes.
-    """
-    return {
-        "window": metrics.window,
-        "offers": metrics.offers,
-        "accepted": metrics.accepted,
-        "rejected": metrics.rejected,
-        "shed": metrics.shed,
-        "disrupted": metrics.disrupted,
-        "slots": metrics.slots,
-        "outcomes": list(metrics._outcomes),
-        "latencies": list(metrics._latencies),
-    }
+def read_checkpoint(shard_id: int, payload: bytes) -> SessionSnapshot:
+    """Parse a shard checkpoint's header (the body is not unpickled)."""
+    try:
+        return SessionSnapshot.from_bytes(payload)
+    except SimulationError as error:
+        raise ShardError(
+            f"shard {shard_id}'s checkpoint is unusable: {error}"
+        ) from error
 
 
-def thaw_metrics(state: dict) -> MetricsStream:
-    """Rebuild a :class:`MetricsStream` from :func:`freeze_metrics` state."""
-    metrics = MetricsStream(window=state["window"])
-    metrics.offers = state["offers"]
-    metrics.accepted = state["accepted"]
-    metrics.rejected = state["rejected"]
-    metrics.shed = state["shed"]
-    metrics.disrupted = state["disrupted"]
-    metrics.slots = state["slots"]
-    metrics._outcomes = deque(state["outcomes"], maxlen=metrics.window)
-    metrics._latencies = deque(state["latencies"], maxlen=metrics.window)
-    return metrics
-
-
-@dataclass(frozen=True)
-class WorkerCheckpoint:
-    """Everything needed to (re)build one shard's service, by value.
-
-    ``session_bytes`` is the shard session serialized through
-    :meth:`~repro.sim.session.SessionSnapshot.to_bytes` — the certified
-    pickle boundary: one pickle of the session's durable state, so a
-    worker booted from it decides identically. Admission travels as a
-    registry name plus factory params (policy *instances* are
-    operational objects and stay with their process). ``clock`` is the
-    slot the restored service resumes at, recorded so a restore can
-    assert it matches the frontend clock.
-    """
-
-    shard_id: int
-    algorithm: str
-    clock: int
-    session_bytes: bytes
-    admission: str
-    admission_params: dict
-    metrics_window: int
-    metrics_state: dict
-
-    def to_bytes(self) -> bytes:
-        """Serialize for shipping to a child process or to disk."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "WorkerCheckpoint":
-        try:
-            checkpoint = pickle.loads(payload)
-        except Exception as error:  # unpickling garbage raises a family of types
-            raise ShardError(
-                "payload does not contain a WorkerCheckpoint "
-                f"({type(error).__name__}: {error})"
-            ) from error
-        if not isinstance(checkpoint, WorkerCheckpoint):
-            raise ShardError(
-                "payload does not contain a WorkerCheckpoint"
-            )
-        return checkpoint
-
-    @classmethod
-    def capture(
-        cls,
-        shard_id: int,
-        service: EmbedderService,
-        admission: str,
-        admission_params: dict,
-    ) -> "WorkerCheckpoint":
-        """Checkpoint a live service (slot boundaries only)."""
-        return cls(
-            shard_id=shard_id,
-            algorithm=service.algorithm.name,
-            clock=service.current_slot,
-            session_bytes=service.snapshot().to_bytes(),
-            admission=admission,
-            admission_params=dict(admission_params),
-            metrics_window=service.metrics.window,
-            metrics_state=freeze_metrics(service.metrics),
-        )
-
-
-class _WorkerState:
-    """One booted shard service plus the metadata to re-checkpoint it."""
-
-    def __init__(self, checkpoint: WorkerCheckpoint) -> None:
-        self.shard_id = checkpoint.shard_id
-        self.admission = checkpoint.admission
-        self.admission_params = dict(checkpoint.admission_params)
-        session = SimulationSession.restore(
-            SessionSnapshot.from_bytes(checkpoint.session_bytes)
-        )
-        self.service = EmbedderService(
-            session,
-            admission=checkpoint.admission,
-            admission_params=self.admission_params or None,
-            metrics_window=checkpoint.metrics_window,
-        )
-        self.service.metrics = thaw_metrics(checkpoint.metrics_state)
-
-    def checkpoint(self) -> WorkerCheckpoint:
-        return WorkerCheckpoint.capture(
-            self.shard_id, self.service, self.admission, self.admission_params
-        )
-
-
-def _execute(state: _WorkerState, command: str, args: tuple) -> Any:
+def _execute(service: EmbedderService, command: str, args: tuple) -> Any:
     """Run one worker command — the single interpreter both worker kinds
     share, so inline and child-process execution cannot drift apart."""
-    service = state.service
     if command == "offer_run":
         return service.offer_many(args[0])
     if command == "advance_to":
         service.advance_to(args[0])
         return None
     if command == "checkpoint":
-        return state.checkpoint().to_bytes()
+        return service.snapshot().to_bytes()
     if command == "metrics":
-        return {
-            "slot": service.current_slot,
-            "utilization": service.utilization(),
-            "pending": service.pending_count,
-            **freeze_metrics(service.metrics),
-        }
+        return service.metrics, service.utilization(), service.pending_count
     if command == "result":
         return service.result()
     if command == "finish":
@@ -197,7 +79,7 @@ def _shard_worker_main(conn, payload: bytes) -> None:
     pickle). ``stop`` acknowledges and exits; a closed pipe (parent
     died) exits silently.
     """
-    state = _WorkerState(WorkerCheckpoint.from_bytes(payload))
+    service = EmbedderService.restore(SessionSnapshot.from_bytes(payload))
     while True:
         try:
             message = conn.recv()
@@ -207,7 +89,7 @@ def _shard_worker_main(conn, payload: bytes) -> None:
             conn.send(("ok", None))
             break
         try:
-            result = _execute(state, message[0], tuple(message[1:]))
+            result = _execute(service, message[0], tuple(message[1:]))
         except Exception as error:
             conn.send(("error", f"{type(error).__name__}: {error}"))
         else:
@@ -223,22 +105,20 @@ class InlineShardWorker:
     the frontend uses to overlap process workers.
     """
 
-    def __init__(self, checkpoint: WorkerCheckpoint) -> None:
-        self.shard_id = checkpoint.shard_id
-        self._state = _WorkerState(checkpoint)
+    def __init__(self, shard_id: int, payload: bytes) -> None:
+        self.shard_id = shard_id
+        #: The underlying service (inline workers only — tests peek).
+        self.service = EmbedderService.restore(
+            read_checkpoint(shard_id, payload)
+        )
         self._results: deque[Any] = deque()
 
     @property
     def alive(self) -> bool:
         return True
 
-    @property
-    def service(self) -> EmbedderService:
-        """The underlying service (inline workers only — tests peek)."""
-        return self._state.service
-
     def send(self, command: str, *args: Any) -> None:
-        self._results.append(_execute(self._state, command, args))
+        self._results.append(_execute(self.service, command, args))
 
     def recv(self) -> Any:
         return self._results.popleft()
@@ -260,26 +140,28 @@ class InlineShardWorker:
 class ProcessShardWorker:
     """A shard worker in a child process behind a duplex pipe.
 
-    The boot payload is the serialized checkpoint; every later exchange
+    The boot payload is a serialized service checkpoint, refused from its
+    header before a child is spawned; every later exchange
     is one pickled command tuple and one reply envelope. :meth:`send`
     and :meth:`recv` are split so the frontend can broadcast a slot's
     sub-batches to all workers first and collect afterwards — that
     overlap is the aggregate-throughput win.
     """
 
-    def __init__(self, checkpoint: WorkerCheckpoint) -> None:
+    def __init__(self, shard_id: int, payload: bytes) -> None:
         # Same discipline as repro.sim.runner's pools: only the parent
         # process may spawn shard workers (nested workers would fork
         # from inconsistent pool state and double-subscribe cores).
         _require_parent_process("spawning a shard worker")
-        self.shard_id = checkpoint.shard_id
+        read_checkpoint(shard_id, payload)
+        self.shard_id = shard_id
         context = multiprocessing.get_context()
         self._conn, child_conn = context.Pipe(duplex=True)
         self._process = context.Process(
             target=_shard_worker_main,
-            args=(child_conn, checkpoint.to_bytes()),
+            args=(child_conn, payload),
             daemon=True,
-            name=f"repro-shard-{checkpoint.shard_id}",
+            name=f"repro-shard-{shard_id}",
         )
         self._process.start()
         child_conn.close()
@@ -335,10 +217,4 @@ class ProcessShardWorker:
         self._conn.close()
 
 
-__all__ = [
-    "InlineShardWorker",
-    "ProcessShardWorker",
-    "WorkerCheckpoint",
-    "freeze_metrics",
-    "thaw_metrics",
-]
+__all__ = ["InlineShardWorker", "ProcessShardWorker", "read_checkpoint"]

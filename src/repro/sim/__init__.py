@@ -1,6 +1,6 @@
 """Discrete-time simulation engine, sessions, metrics, and the runner."""
 
-from repro.sim.engine import SimulationResult, SlotSimulator, simulate
+from repro.sim.engine import SimulationResult, simulate
 from repro.sim.metrics import (
     NodeTimeline,
     balance_index,
@@ -13,13 +13,11 @@ from repro.sim.runner import (
     ParallelRunner,
     confidence_interval,
     get_default_runner,
-    repeat_runs,
     set_default_runner,
 )
 from repro.sim.session import SessionSnapshot, SimulationSession, SlotReport
 
 __all__ = [
-    "SlotSimulator",
     "SimulationResult",
     "SimulationSession",
     "SessionSnapshot",
@@ -35,5 +33,4 @@ __all__ = [
     "confidence_interval",
     "get_default_runner",
     "set_default_runner",
-    "repeat_runs",
 ]

@@ -1,10 +1,8 @@
 """The batch simulation entry points and the result they assemble.
 
-Since the streaming-session redesign, the slot loop itself lives in
-:mod:`repro.sim.session` — :class:`SlotSimulator` and :func:`simulate`
-are thin wrappers that build a :class:`~repro.sim.session.
-SimulationSession` over the full request trace and run it to the
-horizon. The semantics (Fig. 2) are unchanged: each slot releases
+The slot loop itself lives in :mod:`repro.sim.session` —
+:func:`simulate` builds a :class:`~repro.sim.session.SimulationSession`
+over the full request trace and runs it to the horizon. The semantics (Fig. 2) are unchanged: each slot releases
 departures first (OLIVE Algorithm 2 line 5), then applies dynamic
 events (if an :class:`~repro.scenarios.events.EventSchedule` is
 attached), then processes arrivals in arrival order. Two algorithm
@@ -115,38 +113,6 @@ class SimulationResult:
         )
 
 
-class SlotSimulator:
-    """Drives one algorithm over one online request stream (batch shape).
-
-    A thin wrapper over :class:`~repro.sim.session.SimulationSession`:
-    the constructor performs the same validation (and workload-event
-    stream transform) as always, and :meth:`run` executes every slot of
-    the horizon in one call. Use a session directly for streaming,
-    ad-hoc submissions, or checkpoint/resume.
-    """
-
-    def __init__(
-        self,
-        algorithm,
-        requests: list[Request],
-        num_slots: int,
-        events=None,
-    ) -> None:
-        from repro.sim.session import SimulationSession
-
-        self.session = SimulationSession(
-            algorithm, requests, num_slots, events=events
-        )
-        self.algorithm = algorithm
-        #: The sorted (and workload-event-transformed) request stream.
-        self.requests = self.session.requests
-        self.num_slots = num_slots
-        self.events = self.session.events
-
-    def run(self) -> SimulationResult:
-        return self.session.run()
-
-
 def simulate(
     algorithm,
     requests: list[Request],
@@ -157,6 +123,10 @@ def simulate(
 
     ``events`` is an optional
     :class:`~repro.scenarios.events.EventSchedule` the simulation
-    consumes slot-by-slot.
+    consumes slot-by-slot. Use a
+    :class:`~repro.sim.session.SimulationSession` directly for
+    streaming, ad-hoc submissions, or checkpoint/resume.
     """
-    return SlotSimulator(algorithm, requests, num_slots, events=events).run()
+    from repro.sim.session import SimulationSession
+
+    return SimulationSession(algorithm, requests, num_slots, events=events).run()

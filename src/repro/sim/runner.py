@@ -12,7 +12,6 @@ metric samples — and therefore bit-identical
 one exception is metrics that *measure* wall-clock time (the drivers'
 ``:runtime`` keys): those are genuine timings, never deterministic, and
 parallel workers sharing cores will distort them.
-:func:`repeat_runs` is kept as the serial-equivalent convenience wrapper.
 """
 
 from __future__ import annotations
@@ -237,12 +236,3 @@ def set_default_runner(runner: ParallelRunner) -> ParallelRunner:
     previous = _default_runner
     _default_runner = runner  # repro-lint: allow[RPS102] guarded by _require_parent_process above — the CLI swaps the parent's default runner before any pool exists
     return previous
-
-
-def repeat_runs(
-    run: RunFn,
-    repetitions: int,
-    base_seed: int = 0,
-) -> dict[str, ConfidenceInterval]:
-    """Serial-equivalent wrapper around :meth:`ParallelRunner.repeat`."""
-    return ParallelRunner(jobs=1).repeat(run, repetitions, base_seed)

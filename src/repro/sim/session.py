@@ -48,7 +48,7 @@ import io
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -97,17 +97,20 @@ class SlotReport:
 #: First element of the header pickled ahead of a checkpoint's body.
 _SNAPSHOT_TAG = "repro.SessionSnapshot/1"
 
+_Root = TypeVar("_Root")
+
 
 @dataclass(frozen=True)
 class SessionSnapshot:
     """An opaque checkpoint of a session at a slot boundary.
 
-    Holds the session **serialized once**: a small pickled header
-    ``(tag, clock, algorithm name, body length)`` followed by the pickled
-    session. The bytes are immutable, so the checkpoint is isolated from
-    the live session by construction, and every
-    :meth:`SimulationSession.restore` unpickles a fresh session from
-    them — one snapshot can seed any number of resumed runs.
+    Holds the session — or the :class:`~repro.serve.EmbedderService`
+    that owns it, when the service took the checkpoint — **serialized
+    once**: a small pickled header ``(tag, clock, algorithm name, body
+    length)`` followed by the pickled object. The bytes are immutable,
+    so the checkpoint is isolated from the live session by construction,
+    and every ``restore`` unpickles a fresh object from them — one
+    snapshot can seed any number of resumed runs.
     ``to_bytes()`` returns those bytes as they are; ``from_bytes()``
     reads only the header, so ``clock``/``algorithm_name`` are answered
     and a foreign or truncated payload is refused without loading the
@@ -186,6 +189,42 @@ def _collector_paused() -> Iterator[None]:
     finally:
         if collecting:
             gc.enable()
+
+
+def dump_checkpoint(
+    root: Any, session: "SimulationSession"
+) -> SessionSnapshot:
+    """Pickle ``root`` once, behind the header that describes ``session``.
+
+    ``root`` is the session itself or the service that owns it — the two
+    checkpoint units; both share this envelope, so one ``from_bytes``
+    reads either.
+    """
+    if session.slot_open:
+        raise SimulationError(
+            f"slot {session.clock} is open; close_slot() before snapshot()"
+        )
+    with _collector_paused():
+        body = pickle.dumps(root, protocol=pickle.HIGHEST_PROTOCOL)
+    name = session.algorithm.name
+    header = pickle.dumps(
+        (_SNAPSHOT_TAG, session.clock, name, len(body)),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    return SessionSnapshot(header + body, session.clock, name)
+
+
+def load_checkpoint(snapshot: SessionSnapshot, kind: type[_Root]) -> _Root:
+    """Unpickle a checkpoint's body; it must hold a ``kind``."""
+    payload = snapshot._payload
+    _, _, body_at = _parse_header(payload)
+    with _collector_paused():
+        root = pickle.loads(memoryview(payload)[body_at:])
+    if not isinstance(root, kind):
+        raise SimulationError(
+            f"snapshot holds a {type(root).__name__}, not a {kind.__name__}"
+        )
+    return root
 
 
 class SimulationSession:
@@ -707,18 +746,7 @@ class SimulationSession:
         bit-identical to never having stopped. Snapshots are only
         available between slots (open slots hold half-applied state).
         """
-        if self._slot_open:
-            raise SimulationError(
-                f"slot {self._clock} is open; close_slot() before snapshot()"
-            )
-        with _collector_paused():
-            body = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        name = self.algorithm.name
-        header = pickle.dumps(
-            (_SNAPSHOT_TAG, self._clock, name, len(body)),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return SessionSnapshot(header + body, self._clock, name)
+        return dump_checkpoint(self, self)
 
     @classmethod
     def restore(cls, snapshot: SessionSnapshot) -> "SimulationSession":
@@ -729,16 +757,7 @@ class SimulationSession:
         runs (e.g. replaying a tail under different what-if
         submissions).
         """
-        payload = snapshot._payload
-        _, _, body_at = _parse_header(payload)
-        with _collector_paused():
-            session = pickle.loads(memoryview(payload)[body_at:])
-        if not isinstance(session, cls):
-            raise SimulationError(
-                f"snapshot holds a {type(session).__name__}, "
-                f"not a {cls.__name__}"
-            )
-        return session
+        return load_checkpoint(snapshot, cls)
 
     def __repr__(self) -> str:
         state = "open" if self._slot_open else "idle"

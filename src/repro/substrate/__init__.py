@@ -23,7 +23,6 @@ from repro.substrate.tiers import (
     Tier,
 )
 from repro.substrate.topologies import (
-    TOPOLOGY_BUILDERS,
     make_100n150e,
     make_5gen,
     make_citta_studi,
@@ -49,7 +48,6 @@ __all__ = [
     "make_tiered_topology",
     "make_topology",
     "split_gpu_datacenters",
-    "TOPOLOGY_BUILDERS",
     "analyze_topology",
     "TopologyReport",
     "tier_summaries",

@@ -556,13 +556,6 @@ def split_gpu_datacenters(
     )
 
 
-#: Registry used by experiments and benchmarks.
-#: Live read-only ``{name: builder}`` view of the topology registry.
-#: Third-party topologies registered via ``@register_topology`` appear
-#: here automatically.
-TOPOLOGY_BUILDERS = topology_registry.as_mapping()
-
-
 def make_topology(name: str) -> SubstrateNetwork:
     """Build a registered topology by name (``repro.registry`` backed).
 

@@ -40,7 +40,7 @@ def peek_registry(registry):
 
 def sanctioned_registry_use(registry, name):
     entry = registry.get(name)  # OK: public lookup
-    return entry, registry.as_mapping()  # OK: read-only view
+    return entry, registry.names()  # OK: read-only view
 
 
 EXPECTED = {

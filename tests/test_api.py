@@ -162,17 +162,7 @@ class TestSweepResult:
 
 
 class TestFacadeMatchesFigures:
-    """The facade and the legacy figures pipeline are bit-identical."""
-
-    def test_matches_legacy_sweep_shim(self, tiny_config):
-        legacy = figures._sweep(tiny_config, ("OLIVE", "QUICKG"))
-        facade = (
-            api.Experiment(tiny_config)
-            .algorithms("OLIVE", "QUICKG")
-            .run()
-            .summary
-        )
-        assert _drop_runtime(legacy) == _drop_runtime(facade)
+    """The facade and the figure drivers are bit-identical."""
 
     def test_matches_figure_driver(self, tiny_config):
         driver = figures.run_rejection_vs_utilization(
@@ -186,19 +176,6 @@ class TestFacadeMatchesFigures:
             .keyed("utilization")
         )
         assert _drop_runtime(driver[1.2]) == _drop_runtime(facade[1.2])
-
-    def test_perturbed_matches_legacy(self, tiny_config):
-        legacy = figures._sweep(
-            tiny_config, ("OLIVE",), shift_plan_ingress=True
-        )
-        facade = (
-            api.Experiment(tiny_config)
-            .algorithms("OLIVE")
-            .perturb(shift_plan_ingress=True)
-            .run()
-            .summary
-        )
-        assert _drop_runtime(legacy) == _drop_runtime(facade)
 
     def test_cached_equals_uncached(self, tiny_config, tmp_path):
         configure_cache(enabled=True, root=tmp_path / "api-cache")

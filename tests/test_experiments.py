@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.api import run_single, summarize_run
 from repro.errors import SimulationError
 from repro.experiments.config import (
     BENCH_UTILIZATIONS,
     PAPER_UTILIZATIONS,
     ExperimentConfig,
 )
-from repro.experiments.figures import run_single, summarize_run
 from repro.experiments.scenario import build_scenario, make_algorithm
 
 

@@ -13,9 +13,9 @@ claims, at test scale:
 import numpy as np
 import pytest
 
+from repro.api import run_single
 from repro.core.embedding import compute_loads
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import run_single
 from repro.experiments.scenario import build_scenario, make_algorithm
 from repro.sim.engine import simulate
 from repro.sim.metrics import rejection_rate

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.errors import SimulationError
 from repro.experiments import cache as cache_mod
-from repro.experiments import figures
 from repro.experiments.__main__ import FIGURES, RENDERERS, build_parser, main
 from repro.experiments.cache import (
     ResultCache,
@@ -28,7 +28,6 @@ from repro.sim.runner import (
     ConfidenceInterval,
     ParallelRunner,
     get_default_runner,
-    repeat_runs,
     shutdown_pools,
 )
 
@@ -45,11 +44,6 @@ class TestParallelRunner:
         assert serial == parallel
         assert isinstance(serial["rejection"], ConfidenceInterval)
         assert serial["cost"].count == 8
-
-    def test_matches_legacy_repeat_runs(self):
-        legacy = repeat_runs(deterministic_run, 6, 2)
-        pooled = ParallelRunner(jobs=3).repeat(deterministic_run, 6, 2)
-        assert legacy == pooled
 
     def test_serial_fallback_accepts_closures(self):
         seen = []
@@ -119,7 +113,7 @@ class TestInconsistentKeys:
             return {"expected": 1.0}
 
         with pytest.raises(SimulationError) as excinfo:
-            repeat_runs(run, 4, base_seed=0)
+            ParallelRunner(jobs=1).repeat(run, 4, base_seed=0)
         message = str(excinfo.value)
         assert "repetition 2" in message
         assert "missing ['expected']" in message
@@ -249,7 +243,7 @@ class TestResultCache:
 
 
 class TestSweepCaching:
-    """_sweep consults the active cache and skips recomputation on a hit."""
+    """run_point consults the active cache and skips recomputation on a hit."""
 
     @pytest.fixture
     def counted_sweep(self, monkeypatch):
@@ -262,31 +256,31 @@ class TestSweepCaching:
         def fake_summarize(scenario, results):
             return {"OLIVE:rejection_rate": 0.25}
 
-        monkeypatch.setattr(figures, "run_single", fake_run_single)
-        monkeypatch.setattr(figures, "summarize_run", fake_summarize)
+        monkeypatch.setattr(api, "run_single", fake_run_single)
+        monkeypatch.setattr(api, "summarize_run", fake_summarize)
         return calls
 
     def test_hit_skips_recompute(self, tmp_path, counted_sweep):
         configure_cache(enabled=True, root=tmp_path)
         config = ExperimentConfig.test(repetitions=2)
-        first = figures._sweep(config, ["OLIVE"])
+        first = api.run_point(config, ["OLIVE"])
         assert counted_sweep == [0, 1]
-        second = figures._sweep(config, ["OLIVE"])
+        second = api.run_point(config, ["OLIVE"])
         assert counted_sweep == [0, 1]  # no recomputation
         assert first == second
 
     def test_changed_point_recomputes(self, tmp_path, counted_sweep):
         configure_cache(enabled=True, root=tmp_path)
         config = ExperimentConfig.test(repetitions=1)
-        figures._sweep(config, ["OLIVE"])
-        figures._sweep(config.with_(utilization=1.4), ["OLIVE"])
+        api.run_point(config, ["OLIVE"])
+        api.run_point(config.with_(utilization=1.4), ["OLIVE"])
         assert counted_sweep == [0, 0]  # both points computed once
 
     def test_disabled_cache_always_recomputes(self, counted_sweep):
         configure_cache(enabled=False)
         config = ExperimentConfig.test(repetitions=1)
-        figures._sweep(config, ["OLIVE"])
-        figures._sweep(config, ["OLIVE"])
+        api.run_point(config, ["OLIVE"])
+        api.run_point(config, ["OLIVE"])
         assert counted_sweep == [0, 0]
 
 
@@ -361,8 +355,8 @@ class TestEndToEndParallelism:
             measure_stop=14,
             repetitions=2,
         )
-        serial = figures._sweep(config, ["OLIVE"], ParallelRunner(jobs=1))
-        pooled = figures._sweep(config, ["OLIVE"], ParallelRunner(jobs=2))
+        serial = api.run_point(config, ["OLIVE"], ParallelRunner(jobs=1))
+        pooled = api.run_point(config, ["OLIVE"], ParallelRunner(jobs=2))
         wallclock = (":runtime", ":slots_per_sec", ":requests_per_sec")
         for metric in serial:
             if metric.endswith(wallclock):

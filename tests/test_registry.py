@@ -24,7 +24,7 @@ from repro.registry import (
     topology_registry,
     trace_registry,
 )
-from repro.substrate.topologies import TOPOLOGY_BUILDERS, make_topology
+from repro.substrate.topologies import make_topology
 
 
 class TestRegistryCore:
@@ -93,7 +93,7 @@ class TestRegistryCore:
         with pytest.raises(SimulationError):
             efficiency_registry.get("NOPE")
 
-    def test_factory_view_is_live_and_readonly(self):
+    def test_late_registration_is_live(self):
         @register_topology("TinyTestNet", description="test-only")
         def make_tiny():
             from tests.conftest import make_line_substrate
@@ -101,14 +101,12 @@ class TestRegistryCore:
             return make_line_substrate()
 
         try:
-            assert "TinyTestNet" in TOPOLOGY_BUILDERS
-            assert TOPOLOGY_BUILDERS["TinyTestNet"] is make_tiny
+            assert "TinyTestNet" in topology_registry
+            assert topology_registry.get("TinyTestNet").factory is make_tiny
             assert make_topology("TinyTestNet").name == "line4"
-            with pytest.raises(TypeError):
-                TOPOLOGY_BUILDERS["TinyTestNet"] = make_tiny
         finally:
             topology_registry.unregister("TinyTestNet")
-        assert "TinyTestNet" not in TOPOLOGY_BUILDERS
+        assert "TinyTestNet" not in topology_registry
 
 
 class TestBuiltinEntries:

@@ -80,14 +80,6 @@ class TestOffer:
         with pytest.raises(SimulationError, match="ended"):
             service.offer(_request(3, arrival=9))
 
-    def test_offer_batch(self, line_substrate, chain_app):
-        service = _service(line_substrate, chain_app)
-        decisions = service.offer_batch(
-            [_request(rid, arrival=1) for rid in range(4)]
-        )
-        assert len(decisions) == 4 and all(d.accepted for d in decisions)
-        assert service.current_slot == 1
-
     def test_finish_matches_session_result(self, line_substrate, chain_app):
         service = _service(line_substrate, chain_app, num_slots=6)
         service.offer(_request(1, arrival=0, demand=2.0, duration=2))
@@ -400,20 +392,107 @@ class TestMetricsStream:
 
 
 class TestServiceSnapshot:
-    def test_checkpoint_and_restore(self, line_substrate, chain_app):
-        service = _service(line_substrate, chain_app)
-        service.offer(_request(1, arrival=0, duration=9, demand=2.0))
-        service.advance_to(3)
-        snapshot = service.snapshot()
-        live = service
-        live.offer(_request(2, arrival=5))
-        final = live.finish()
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {
+                "admission": "token-bucket",
+                "admission_params": {"rate": 1, "burst": 2},
+                "max_pending": 3,
+            },
+        ],
+        ids=["always", "token-bucket"],
+    )
+    def test_checkpoint_and_restore(self, line_substrate, chain_app, kwargs):
+        """A resumed service is the live one: it sheds, decides, counts
+        and bounds its queue exactly as if it had never stopped."""
+
+        def tail(service):
+            # Slot 3 finds the bucket where slot 2 left it; the
+            # schedule() calls run into whatever max_pending allows.
+            offered = service.offer_many(
+                [_request(20 + i, arrival=3) for i in range(4)]
+                + [_request(30 + i, arrival=5) for i in range(4)]
+            )
+            queued = [
+                service.schedule(_request(40 + i, arrival=7))
+                for i in range(5)
+            ]
+            return offered, queued, service.finish().decisions
+
+        live = _service(line_substrate, chain_app, **kwargs)
+        notified = []
+        live.metrics.subscribe(notified.append)
+        live.offer_many([_request(i, arrival=0, duration=9) for i in range(4)])
+        live.offer_many([_request(10 + i, arrival=2) for i in range(4)])
+        live.advance_to(3)
+        snapshot = live.snapshot()
 
         resumed = EmbedderService.restore(snapshot)
         assert resumed.current_slot == 3
-        resumed.offer(_request(2, arrival=5))
-        replayed = resumed.finish()
-        assert replayed.decisions == final.decisions
+        assert resumed.max_pending == live.max_pending
+        assert resumed.metrics.offers == live.metrics.offers == 8
+        heard = len(notified)
+        replayed = tail(resumed)
+        # Subscribers are the live process's wiring; they stay behind.
+        assert len(notified) == heard
+        assert replayed == tail(live)
+        assert len(notified) > heard
+        assert resumed.recent_shed == live.recent_shed
+        for counter in ("offers", "accepted", "rejected", "shed", "slots"):
+            assert getattr(resumed.metrics, counter) == getattr(
+                live.metrics, counter
+            ), counter
+        if kwargs:
+            assert live.metrics.shed > 2  # bucket and queue bound both bit
+            assert replayed[1] == [True, True, True, False, False]
+
+    @pytest.mark.parametrize("name", sorted(admission_policy_registry.names()))
+    def test_every_registered_policy_round_trips(
+        self, name, line_substrate, chain_app
+    ):
+        """Drive 50 offers, checkpoint, and the next 50 decide the same."""
+
+        def offers(start):
+            return [
+                _request(start + i, arrival=(start + i) // 10, duration=2)
+                for i in range(50)
+            ]
+
+        live = _service(line_substrate, chain_app, admission=name)
+        live.offer_many(offers(0))
+        live.advance_to(5)
+        resumed = EmbedderService.restore(live.snapshot())
+        assert type(resumed.admission) is type(live.admission)
+        assert resumed.offer_many(offers(50)) == live.offer_many(offers(50))
+        assert resumed.metrics.shed == live.metrics.shed
+        assert resumed.finish().decisions == live.finish().decisions
+
+    def test_unpicklable_policy_is_refused_by_name(
+        self, line_substrate, chain_app
+    ):
+        class Closure(AdmissionPolicy):
+            def __init__(self):
+                self.limit = lambda: 3  # a lambda does not pickle
+
+        service = _service(line_substrate, chain_app, admission=Closure())
+        service.offer(_request(1, arrival=0))
+        service.advance_to(1)
+        with pytest.raises(SimulationError, match="Closure") as excinfo:
+            service.snapshot()
+        assert excinfo.value.__cause__ is not None
+        # Nothing was half-done: the live service keeps serving.
+        assert service.offer(_request(2, arrival=1)).accepted
+
+    def test_service_and_session_snapshots_are_not_interchangeable(
+        self, line_substrate, chain_app
+    ):
+        service = _service(line_substrate, chain_app)
+        with pytest.raises(SimulationError, match="holds a EmbedderService"):
+            SimulationSession.restore(service.snapshot())
+        with pytest.raises(SimulationError, match="holds a SimulationSession"):
+            EmbedderService.restore(service.session.snapshot())
 
 
 class TestFacadeEntryPoints:

@@ -20,12 +20,12 @@ from repro.serve import EmbedderService, poisson_offers
 from repro.shard import (
     BoundaryLedger,
     InlineShardWorker,
+    ProcessShardWorker,
     ShardedEmbedderService,
-    WorkerCheckpoint,
     partition_substrate,
     restrict_plan,
 )
-from repro.sim.session import SimulationSession
+from repro.sim.session import SessionSnapshot, SimulationSession
 from repro.substrate import make_citta_studi
 from repro.utils.rng import child_rng, make_rng
 from repro.workload.request import Request
@@ -401,17 +401,30 @@ class TestMetrics:
 # -- failover ------------------------------------------------------------------
 
 
-def _line_checkpoint(substrate, app) -> WorkerCheckpoint:
+def _line_checkpoint(substrate, app) -> bytes:
     """A slot-2 checkpoint of a QUICKG service on the 4-node line."""
     service = EmbedderService(
         SimulationSession(make_quickg(substrate, [app]), (), 6)
     )
     service.advance_to(2)
-    return WorkerCheckpoint.capture(0, service, "always", {})
+    return service.snapshot().to_bytes()
 
 
 class TestFailover:
-    def test_kill_and_restore_is_bit_identical(self):
+    @pytest.mark.parametrize(
+        "admission",
+        [
+            {"admission": "always"},
+            {
+                "admission": "token-bucket",
+                "admission_params": {"rate": 2, "burst": 4},
+            },
+        ],
+        ids=["always", "token-bucket"],
+    )
+    def test_kill_and_restore_is_bit_identical(self, admission):
+        """Decisions *and* merged metrics equal the undisturbed run's:
+        the spare inherits the dead worker's admission state."""
         config = _config()
         experiment = Experiment(config).algorithms("QUICKG")
         seed = 11
@@ -420,15 +433,16 @@ class TestFailover:
         kill_shard = seed % 2
 
         undisturbed = experiment.serve(
-            seed=seed, shards=2, shard_workers="process"
+            seed=seed, shards=2, shard_workers="process", **admission
         )
         with undisturbed:
             expected = _drive(
                 undisturbed, undisturbed.scenario, config.online_slots, seed
             )
+            expected_metrics = undisturbed.metrics()
 
         service = experiment.serve(
-            seed=seed, shards=2, shard_workers="process"
+            seed=seed, shards=2, shard_workers="process", **admission
         )
         with service:
             rng = child_rng(make_rng(seed), "serve-traffic")
@@ -447,8 +461,14 @@ class TestFailover:
                 service.advance_to(slot + 1)
             assert killed
             result = service.finish()
+            merged = service.metrics()
         assert actual == expected
         assert result.decisions == tuple(expected)
+        for counter in ("offers", "accepted", "rejected", "shed"):
+            assert getattr(merged, counter) == getattr(
+                expected_metrics, counter
+            ), counter
+        assert (merged.shed > 0) == (admission["admission"] != "always")
 
     def test_dead_worker_refuses_offers(self):
         config = _config()
@@ -529,25 +549,40 @@ class TestFailover:
         ],
         ids=["foreign", "empty", "truncated", "garbage"],
     )
-    def test_from_bytes_rejects_foreign_payload(
-        self, corrupt, line_substrate, chain_app
+    @pytest.mark.parametrize("worker", [InlineShardWorker, ProcessShardWorker])
+    def test_worker_boot_rejects_bad_payload(
+        self, worker, corrupt, line_substrate, chain_app, monkeypatch
     ):
-        good = _line_checkpoint(line_substrate, chain_app).to_bytes()
-        assert WorkerCheckpoint.from_bytes(good).clock == 2
-        with pytest.raises(ShardError, match="WorkerCheckpoint"):
-            WorkerCheckpoint.from_bytes(corrupt(good))
-
-    def test_truncated_session_bytes_fail_the_boot(
-        self, line_substrate, chain_app
-    ):
-        """The session payload inside an intact checkpoint is validated
-        at boot, from its header — before any session is unpickled."""
+        """One envelope: a worker boots from ``service.snapshot()``'s
+        bytes, and anything else is refused from the header — before a
+        body is unpickled or a child is spawned."""
         good = _line_checkpoint(line_substrate, chain_app)
-        bad = dataclasses.replace(
-            good, session_bytes=good.session_bytes[:-100]
+        booted = InlineShardWorker(0, good)
+        assert booted.service.current_slot == 2
+        assert SessionSnapshot.from_bytes(booted.call("checkpoint")).clock == 2
+
+        def no_unpickling(*args, **kwargs):
+            raise AssertionError("a refused payload's body was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        with pytest.raises(ShardError, match="shard 0's checkpoint"):
+            worker(0, corrupt(good))
+
+    def test_restore_worker_refuses_corrupt_checkpoint(self):
+        service = (
+            Experiment(_config())
+            .algorithms("QUICKG")
+            .serve(seed=3, shards=2, shard_workers="inline")
         )
-        with pytest.raises(SimulationError, match="truncated"):
-            InlineShardWorker(WorkerCheckpoint.from_bytes(bad.to_bytes()))
+        with service:
+            service.advance_to(2)
+            good = service._checkpoints[1]
+            service._checkpoints[1] = good[:-100]
+            with pytest.raises(ShardError, match="truncated"):
+                service.restore_worker(1)
+            service._checkpoints[1] = good
+            service.restore_worker(1)
+            assert service._workers[1].service.current_slot == 2
 
 
 # -- facade + lifecycle --------------------------------------------------------

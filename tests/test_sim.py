@@ -8,7 +8,7 @@ from repro.baselines.slotoff import SlotOffAlgorithm
 from repro.core.olive import Decision
 from repro.errors import SimulationError
 from repro.plan.pattern import Plan
-from repro.sim.engine import SimulationResult, SlotSimulator, simulate
+from repro.sim.engine import SimulationResult, simulate
 from repro.sim.metrics import (
     NodeTimeline,
     balance_index,
@@ -16,7 +16,7 @@ from repro.sim.metrics import (
     demand_series,
     rejection_rate,
 )
-from repro.sim.runner import confidence_interval, repeat_runs
+from repro.sim.runner import ParallelRunner, confidence_interval
 from repro.workload.request import Request
 from tests.conftest import make_line_substrate, make_two_vnf_chain
 
@@ -41,7 +41,7 @@ def _result_from_decisions(decisions, num_slots=10, preemptions=()):
     )
 
 
-class TestSlotSimulator:
+class TestSimulate:
     def test_every_request_gets_a_decision(self, line_substrate, chain_app):
         quickg = make_quickg(line_substrate, [chain_app])
         requests = [_request(i, arrival=i % 5) for i in range(20)]
@@ -71,7 +71,7 @@ class TestSlotSimulator:
     def test_arrival_beyond_horizon_rejected(self, line_substrate, chain_app):
         quickg = make_quickg(line_substrate, [chain_app])
         with pytest.raises(SimulationError, match="beyond"):
-            SlotSimulator(quickg, [_request(1, arrival=99)], 10)
+            simulate(quickg, [_request(1, arrival=99)], 10)
 
     def test_batch_algorithm_drives_run_slot(self, line_substrate, chain_app):
         slotoff = SlotOffAlgorithm(line_substrate, [chain_app])
@@ -332,21 +332,21 @@ class TestRunner:
         assert a.overlaps(b)
         assert not a.overlaps(c)
 
-    def test_repeat_runs_aggregates_metrics(self):
+    def test_repeat_aggregates_metrics(self):
         def run(seed: int):
             return {"metric": float(seed), "constant": 1.0}
 
-        summary = repeat_runs(run, repetitions=5, base_seed=10)
+        summary = ParallelRunner(jobs=1).repeat(run, repetitions=5, base_seed=10)
         assert summary["metric"].mean == pytest.approx(12.0)
         assert summary["constant"].half_width == 0.0
 
-    def test_repeat_runs_rejects_inconsistent_keys(self):
+    def test_repeat_rejects_inconsistent_keys(self):
         def run(seed: int):
             return {"a": 1.0} if seed == 0 else {"b": 1.0}
 
         with pytest.raises(SimulationError, match="inconsistent"):
-            repeat_runs(run, repetitions=2)
+            ParallelRunner(jobs=1).repeat(run, repetitions=2)
 
-    def test_repeat_runs_needs_repetitions(self):
+    def test_repeat_needs_repetitions(self):
         with pytest.raises(SimulationError):
-            repeat_runs(lambda s: {}, repetitions=0)
+            ParallelRunner(jobs=1).repeat(lambda s: {}, repetitions=0)

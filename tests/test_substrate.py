@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
+from repro.registry import topology_registry
 from repro.substrate.network import LinkAttrs, NodeAttrs, SubstrateNetwork, link_id
 from repro.substrate.tiers import (
     TIER_LINK_CAPACITY,
@@ -12,7 +13,6 @@ from repro.substrate.tiers import (
 )
 from repro.substrate.topologies import (
     DEFAULT_SCALE_NODES,
-    TOPOLOGY_BUILDERS,
     make_100n150e,
     make_5gen,
     make_caida_expander,
@@ -155,8 +155,8 @@ class TestTopologies:
             make_topology("Atlantis")
 
     def test_registry_covers_all_builders(self):
-        assert set(TOPOLOGY_BUILDERS) >= set(PUBLISHED_COUNTS)
-        assert set(TOPOLOGY_BUILDERS) - set(PUBLISHED_COUNTS) == {
+        assert set(topology_registry) >= set(PUBLISHED_COUNTS)
+        assert set(topology_registry) - set(PUBLISHED_COUNTS) == {
             "tiered-x", "waxman", "prefattach", "caida-x",
         }
 
