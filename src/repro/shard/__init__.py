@@ -26,8 +26,9 @@ up, in three layers:
   protocol on the boundary ledger.
 
 At ``num_shards=1`` the sharded service is bit-identical to the
-unsharded :class:`~repro.serve.EmbedderService` — the serve test tier
-and ``benchmarks/test_bench_shard.py`` pin this.
+unsharded :class:`~repro.serve.EmbedderService` — the shard test tier
+and ``benchmarks/test_bench_shard.py`` assert this decision identity
+(the bench records the K=1 / unsharded throughput ratio, it gates none).
 """
 
 from repro.registry import register_shard_policy, shard_policy_registry

@@ -283,18 +283,20 @@ class SimulationSession:
             self.events: "EventSchedule | None" = events
         else:
             self.events = None
-        self.requests = sorted(requests)
+        requests = sorted(requests)
         self.num_slots = num_slots
-        for request in self.requests:
+        for request in requests:
             if request.arrival >= num_slots:
                 raise SimulationError(
                     f"request {request.id} arrives at {request.arrival}, "
                     f"beyond the {num_slots}-slot horizon"
                 )
 
+        # Calendars of what is still ahead: begin_slot() pops the slot's
+        # departures, close_slot() its arrivals.
         self._arrivals_by_slot: dict[int, list[Request]] = {}
         self._departures_by_slot: dict[int, list[Request]] = {}
-        for request in self.requests:
+        for request in requests:
             self._arrivals_by_slot.setdefault(request.arrival, []).append(
                 request
             )
@@ -302,7 +304,7 @@ class SimulationSession:
                 self._departures_by_slot.setdefault(
                     request.departure, []
                 ).append(request)
-        self._pending_arrivals = len(self.requests)
+        self._pending_arrivals = len(requests)
 
         self._clock = 0
         self._slot_open = False
@@ -419,7 +421,7 @@ class SimulationSession:
         arrivals = self._arrivals_by_slot.get(t, ())
         self._pending_arrivals -= len(arrivals)
         self._requested[t] = sum(r.demand for r in arrivals)
-        self._slot_departures = tuple(self._departures_by_slot.get(t, ()))
+        self._slot_departures = tuple(self._departures_by_slot.pop(t, ()))
         self._slot_decisions_from = len(self._decisions)
         self._slot_preemptions_from = len(self._preemptions)
         self._slot_disruptions_from = len(self._disruptions)
@@ -478,15 +480,10 @@ class SimulationSession:
                 f"request {request.id} arrives at {request.arrival}, but "
                 f"the open slot is {t}"
             )
-        self._requested[t] += request.demand
-        if request.departure < self.num_slots:
-            bisect.insort(
-                self._departures_by_slot.setdefault(request.departure, []),
-                request,
-            )
         start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
         decision = self.algorithm.process(request)
         self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
+        self._book((request,))
         self._decisions.append(decision)
         if decision.preempted:
             self._preemptions.extend((r, t) for r in decision.preempted)
@@ -535,77 +532,83 @@ class SimulationSession:
         if decide is None:
             return self._process_run_bulk(migrated)
         t = self._clock
-        num_slots = self.num_slots
-        departures = self._departures_by_slot
         decisions = self._decisions
         preemptions = self._preemptions
         process = self.algorithm.process
         outcomes: list[Decision | None] = []
-        # One accumulator round-trip instead of a numpy scalar add per
-        # request; float64 adds in the same order, so the stored value is
-        # bit-identical to the sequential path's.
-        total = float(self._requested[t])
+        decided: list[Request] = []
         start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        for original, request in zip(requests, migrated):
-            if decide(original) is not None:
-                outcomes.append(None)
-                continue
-            if request.arrival != t:
-                raise SimulationError(
-                    f"request {request.id} arrives at "
-                    f"{request.arrival}, but the open slot is {t}"
-                )
-            total += request.demand
-            if request.departure < num_slots:
-                bisect.insort(
-                    departures.setdefault(request.departure, []),
-                    request,
-                )
-            decision = process(request)
-            decisions.append(decision)
-            if decision.preempted:
-                preemptions.extend((r, t) for r in decision.preempted)
-            outcomes.append(decision)
-        self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        self._requested[t] = total
+        try:
+            for original, request in zip(requests, migrated):
+                if decide(original) is not None:
+                    outcomes.append(None)
+                    continue
+                if request.arrival != t:
+                    raise SimulationError(
+                        f"request {request.id} arrives at "
+                        f"{request.arrival}, but the open slot is {t}"
+                    )
+                decision = process(request)
+                decided.append(request)
+                decisions.append(decision)
+                if decision.preempted:
+                    preemptions.extend((r, t) for r in decision.preempted)
+                outcomes.append(decision)
+        finally:
+            self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
+            self._book(decided)
         return outcomes
 
     def _process_run_bulk(
         self, migrated: list[Request]
     ) -> list["Decision | None"]:
-        """No-shed run: session bookkeeping up front, then one tight run.
+        """No-shed run: one tight run, then the session's bookkeeping.
 
         With no admission hook there is nothing to interleave, so the
         whole run goes through :meth:`_commit_run` — the exact call
         :meth:`begin_slot` makes for scheduled arrivals — instead of a
-        per-request session loop. Bookkeeping is identical: the demand
-        accumulator adds in arrival order (bit-identical float sum) and
-        departure registration happens before processing, which nothing
-        in the open slot observes.
+        per-request session loop. Demand and departures are booked
+        afterwards, for the prefix the algorithm decided (all of the run
+        unless it raised), in arrival order: the same float sum and the
+        same calendar as per-request :meth:`process` calls.
         """
         t = self._clock
-        num_slots = self.num_slots
-        departures = self._departures_by_slot
-        total = float(self._requested[t])
         for request in migrated:
             if request.arrival != t:
                 raise SimulationError(
                     f"request {request.id} arrives at "
                     f"{request.arrival}, but the open slot is {t}"
                 )
+        first = len(self._decisions)
+        start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
+        try:
+            self._commit_run(migrated)
+        finally:
+            self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
+            self._book(migrated[:len(self._decisions) - first])
+        return self._decisions[first:]
+
+    def _book(self, decided: Sequence[Request]) -> None:
+        """Count the demand and register the departures of ``decided``.
+
+        Every mid-slot lane calls this only for requests the algorithm
+        returned a decision for: an offer it refused (it raised) leaves
+        no demand and no departure behind. One float accumulator adding
+        in arrival order, so the sum is the same whichever lane booked.
+        """
+        t = self._clock
+        num_slots = self.num_slots
+        departures = self._departures_by_slot
+        total = float(self._requested[t])
+        for request in decided:
             total += request.demand
             if request.departure < num_slots:
                 bisect.insort(
-                    departures.setdefault(request.departure, []),
-                    request,
+                    departures.setdefault(request.departure, []), request
                 )
         self._requested[t] = total
-        start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        committed = self._commit_run(migrated)
-        self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        return list(committed)
 
-    def _commit_run(self, run: Sequence[Request]) -> list[Decision]:
+    def _commit_run(self, run: Sequence[Request]) -> None:
         """Process ``run`` in order, logging decisions and preemptions.
 
         The log grows as the algorithm commits (``extend`` appends each
@@ -619,12 +622,10 @@ class SimulationSession:
         try:
             decisions.extend(map(self.algorithm.process, run))
         finally:
-            committed = decisions[first:]
             preemptions = self._preemptions
-            for decision in committed:
+            for decision in decisions[first:]:
                 if decision.preempted:
                     preemptions.extend((r, t) for r in decision.preempted)
-        return committed
 
     def close_slot(self) -> SlotReport:
         """Seal the open slot: run a batch algorithm's slot solve, record
@@ -634,8 +635,8 @@ class SimulationSession:
                 f"no slot is open (clock at {self._clock}); nothing to close"
             )
         t = self._clock
+        arrivals = self._arrivals_by_slot.pop(t, ())
         if self._is_batch:
-            arrivals = self._arrivals_by_slot.get(t, ())
             start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
             slot_result = self.algorithm.run_slot(t, list(arrivals))
             self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens

@@ -6,8 +6,9 @@ These tests are the enforcement half of the fast-path contract: whole
 simulations run twice — once through the indexed path, once through the
 frozen reference — and every decision, embedding, preemption
 and per-slot metric array must match exactly (``==`` on floats, not
-``approx``). The benchmark suite's ``test_bench_hotpath.py`` measures the
-speed side of the same contract at benchmark scale.
+``approx``). ``benchmarks/perf`` measures the speed side of the same
+contract, and repeats the whole-run comparison at benchmark scale as its
+``--check`` row "fast path == use_fast_greedy=False reference".
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.core.olive import OliveAlgorithm
 from repro.core.residual import ResidualState
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import build_scenario
+from repro.serve import EmbedderService
 from repro.sim.engine import SimulationResult, simulate
 from repro.sim.session import SimulationSession
 from repro.substrate.network import SubstrateNetwork
@@ -194,9 +196,11 @@ class TestBulkEqualsSequential:
     """The bulk shapes are the per-request loop, nothing else."""
 
     def test_session_bulk_paths_equal_sequential_process(self):
-        """Preloaded arrivals (``begin_slot``), ``process_many`` per slot
-        and ``process`` per request: identical results, preemptions
-        included, and identical final residuals."""
+        """Preloaded arrivals (``begin_slot``, the batch engine's lane),
+        ``process_many`` per slot, ``process`` per request, and the same
+        slot runs served through ``EmbedderService.offer_many``:
+        identical results, preemptions included, and identical final
+        residuals."""
         scenario = build_scenario(
             ExperimentConfig.test(utilization=1.2), seed=3
         )
@@ -220,10 +224,16 @@ class TestBulkEqualsSequential:
         sequential = drive(
             lambda session, run: [session.process(r) for r in run]
         )
+        service = EmbedderService(
+            SimulationSession(_make("OLIVE", scenario), [], slots)
+        )
+        for slot in range(slots):
+            service.offer_many(by_slot.get(slot, []))
+            service.advance_to(slot + 1)
 
         expected = sequential.result()
         assert expected.preemptions  # the run must exercise preemption
-        for session in (preloaded, bulk):
+        for session in (preloaded, bulk, service.session):
             assert_results_identical(session.result(), expected)
             residual = session.algorithm.residual
             assert (

@@ -101,6 +101,64 @@ class TestOffer:
             EmbedderService(object())
 
 
+@pytest.mark.parametrize(
+    "lane,admission",
+    [
+        pytest.param("offer", "always", id="offer"),
+        pytest.param("offer_many", "always", id="offer_many"),
+        # A policy that can shed takes the session's per-request lane.
+        pytest.param("offer_many", "token-bucket", id="offer_many-policy"),
+    ],
+)
+def test_refused_offer_books_nothing(lane, admission):
+    """A retried id is refused by the algorithm ("processed twice"). The
+    session must then hold nothing of it: no demand, and no departure —
+    the duplicate's earlier one would release the *original's*
+    allocation by id. Nor may a bulk run book the tail it never reached.
+    """
+    from dataclasses import replace
+
+    from repro.experiments.scenario import build_scenario, make_algorithm
+    from repro.scenarios.events import capacity_invariant_gap
+
+    scenario = build_scenario(ExperimentConfig.test(utilization=0.6), seed=3)
+    online = scenario.online_requests()
+    service = EmbedderService(
+        SimulationSession(
+            make_algorithm("QUICKG", scenario), online,
+            scenario.config.online_slots,
+        ),
+        admission=admission,
+    )
+    a, b, c = (
+        replace(online[0], id=10_000_000 + i, arrival=0, duration=8)
+        for i in range(3)
+    )
+    dup = replace(a, duration=1)
+    run = [a, dup] if lane == "offer" else [a, b, dup, c]
+    with pytest.raises(SimulationError, match="processed twice"):
+        if lane == "offer":
+            for request in run:
+                service.offer(request)
+        else:
+            service.offer_many(run)
+    assert service.algorithm.active[a.id].request is a
+
+    reports = service.advance_to(a.departure)
+    assert a.id in service.algorithm.active  # not released at dup.departure
+    reports.append(service.tick())
+    assert a.id not in service.algorithm.active
+    departed = [r.id for report in reports for r in report.departures]
+    assert departed.count(a.id) == 1 and c.id not in departed
+    assert reports[0].requested_demand == pytest.approx(
+        sum(r.demand for r in online if r.arrival == 0)
+        + sum(r.demand for r in run[:run.index(dup)])
+    )
+    assert capacity_invariant_gap(service.algorithm) == pytest.approx(
+        0.0, abs=1e-6
+    )
+
+
 class TestOfferMany:
     """offer_many must be decision-bit-identical to sequential offer()."""
 
@@ -167,7 +225,11 @@ class TestOfferMany:
         """A retried id inside one run raises after its predecessors
         committed: the session log must hold exactly what ``offer()``
         calls would have logged — for ``offer_many`` and for scheduled
-        arrivals alike."""
+        arrivals alike. ``requested_demand`` is compared between the two
+        offer lanes only: they book a request once the algorithm decided
+        it, so the refused duplicate adds nothing, whereas a scheduled
+        arrival was submitted (and is counted at ``begin_slot``) before
+        anything could refuse it."""
         from repro.experiments.scenario import build_scenario, make_algorithm
         from repro.scenarios.events import capacity_invariant_gap
         from repro.sim.engine import simulate
@@ -221,12 +283,12 @@ class TestOfferMany:
             got = other.result()
             assert got.decisions == expected.decisions
             assert got.preemptions == expected.preemptions
-            assert np.array_equal(
-                got.requested_demand, expected.requested_demand
-            )
             assert capacity_invariant_gap(other.algorithm) == pytest.approx(
                 0.0, abs=1e-6
             )
+        assert np.array_equal(
+            bulk.session.result().requested_demand, expected.requested_demand
+        )
 
     def test_offer_many_spans_slots(self, line_substrate, chain_app):
         service = _service(line_substrate, chain_app)

@@ -294,6 +294,22 @@ class TestSnapshot:
         assert second.decisions == full.decisions
         assert np.array_equal(first.allocated_demand, full.allocated_demand)
 
+    def test_session_keeps_only_what_is_ahead(self, session):
+        """Both calendars drop a slot's entries as the clock passes it, so
+        a long-lived session and its checkpoints hold bounded state — and
+        a run resumed from such a checkpoint is still bit-identical."""
+        full = SimulationSession.restore(session.snapshot()).run()
+        session.run_until(4)
+        assert session._departures_by_slot  # the fixture departs up to slot 6
+        for calendar in (
+            session._arrivals_by_slot, session._departures_by_slot
+        ):
+            assert all(slot >= 4 for slot in calendar)
+        resumed = SimulationSession.restore(session.snapshot()).run()
+        assert resumed.decisions == full.decisions
+        assert np.array_equal(resumed.requested_demand, full.requested_demand)
+        assert np.array_equal(resumed.allocated_demand, full.allocated_demand)
+
     def test_snapshot_survives_pickle_roundtrip(self, session):
         session.run_until(3)
         snapshot = session.snapshot()
