@@ -8,6 +8,7 @@ as utilization rises (QUICKG rejects more, skipping work).
 """
 
 import numpy as np
+import pytest
 
 from _bench_utils import FAST, UTILIZATIONS, bench_config, record
 from repro.experiments.figures import run_runtime_scaling
@@ -16,6 +17,10 @@ ARRIVAL_RATES = (5.0, 20.0) if FAST else (2.0, 5.0, 10.0, 20.0)
 RUNTIME_TOPOLOGIES = ("CittaStudi",) if FAST else ("Iris", "CittaStudi")
 
 
+# The cyclic collector stays off while the runs are timed, as timeit does:
+# late in a suite the process holds a large heap, and one full collection
+# landing inside a 0.1 s run reads as a 2–3× slower algorithm at that point.
+@pytest.mark.benchmark(disable_gc=True)
 def test_fig16_runtime_scalability(benchmark):
     def run_all():
         results = {}

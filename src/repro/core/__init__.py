@@ -7,7 +7,7 @@ This package holds the online machinery shared by OLIVE and the baselines:
 * :mod:`repro.core.residual` — residual substrate capacity Res(S, t, x)
   (Eq. 16) and the residual plan Res(y, t, x) (Eq. 17);
 * :mod:`repro.core.greedy` — the collocated least-cost GREEDYEMBED
-  (indexed fast path: one Dijkstra per route + profile-driven scoring);
+  (indexed fast path: one search per route, fused with the host scan);
 * :mod:`repro.core.greedy_reference` — the frozen scalar GREEDYEMBED the
   decision-equivalence tests compare against;
 * :mod:`repro.core.profile` — per-application static quantities

@@ -1,24 +1,26 @@
 """GREEDYEMBED: collocated least-cost embedding (Algorithm 2, lines 31–34).
 
-One capacity-constrained shortest-path run from the ingress plus one host
-scan per arriving request, exactly as the paper states it. The scalar
-reference (dict-keyed Dijkstra, O(nodes) scan over ``NodeId`` keys) lives
-unchanged in :mod:`repro.core.greedy_reference`; this module produces
-bit-identical embeddings faster from two ingredients:
+The paper states it as one capacity-constrained shortest-path run from
+the ingress plus one host scan per request; that scalar reference lives
+unchanged in :mod:`repro.core.greedy_reference`. This module produces
+bit-identical embeddings faster, one search per route over the
+:class:`~repro.substrate.network.SubstrateIndex` adjacency that reads the
+live ``residual.link_residual`` list inside the relaxation, with the
+reference's relaxation order, heap tie-breaking and arithmetic. Nothing
+is memoized between requests. Every route is one
+:func:`~repro.utils.paths.cheapest_host_search`
+(:meth:`GreedyContext._route`); the shape of η in the
+:class:`~repro.core.profile.AppProfile` selects how far it walks:
 
-* **One indexed Dijkstra per route** (:meth:`GreedyContext._route`):
-  :func:`~repro.utils.paths.indexed_capacity_dijkstra` over the
-  :class:`~repro.substrate.network.SubstrateIndex` adjacency, reading the
-  live ``residual.link_residual`` list inside the relaxation (a link is
-  feasible iff its residual covers the route load). Same relaxation
-  order, heap tie-breaking and arithmetic as the reference Dijkstra, so
-  the tree and its distances are bit-equal. Nothing is memoized between
-  requests.
-* **Profile-driven host scoring** over
-  :class:`~repro.core.profile.AppProfile` load data: a native-float scan
-  in substrate order when η is node-independent, numpy expressions for
-  per-node η — either way the arithmetic and first-strict-minimum
-  tie-breaking match the reference scalar scan bit for bit.
+* **Node-independent η — the fused search**: every node would carry the
+  same load, so the search scores nodes as it settles them and stops
+  once no farther node can be cheaper. It walks a neighbourhood of the
+  ingress, not the substrate, and picks the host of the reference's
+  whole-tree scan (its docstring says why).
+* **Per-node η and the two-group variant — a whole tree** (the same
+  search with ``node_load=math.inf``, which scores no node and never
+  stops), hosts scored by numpy expressions in substrate order (``nan``
+  masks forbidden hosts).
 
 For applications whose placement rules make full collocation impossible —
 the GPU scenario, where GPU and non-GPU VNFs exclude each other — the
@@ -42,23 +44,19 @@ from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.profile import AppProfile, AppProfileCache
 from repro.core.residual import ResidualState
 from repro.substrate.network import SubstrateNetwork
-from repro.utils.paths import indexed_capacity_dijkstra
+from repro.utils.paths import cheapest_host_search
 from repro.workload.request import Request
 
 
 class _RouteTree:
     """The throwaway shortest-path tree of one Dijkstra run."""
 
-    __slots__ = ("source", "parent_node", "parent_link", "scan_nodes")
+    __slots__ = ("source", "parent_node", "parent_link")
 
-    def __init__(self, source, order, parent_node, parent_link):
+    def __init__(self, source, parent_node, parent_link):
         self.source = source
         self.parent_node = parent_node
         self.parent_link = parent_link
-        #: Reached nodes in ascending index order — the candidate-host
-        #: scan must visit nodes in substrate insertion order so ties
-        #: break exactly like the reference scan.
-        self.scan_nodes = sorted(order)
 
     def path_to(self, target: int, link_ids) -> tuple[tuple, list[int]]:
         """The tree path source→target: (LinkId tuple, link positions)."""
@@ -98,18 +96,24 @@ class GreedyContext:
         self.index = residual.index
         self.profiles = AppProfileCache(substrate, efficiency)
         self.direct_routes = 0
+        self.settled_nodes = 0
 
-    def _route(self, source: int, load: float):
-        """``(tree, distances)`` of one shortest-path query: a fresh
-        capacity-constrained Dijkstra over the links whose current
-        residual covers ``load``."""
+    def _route(self, source: int, load: float, node_load: float = math.inf):
+        """``(tree, distances, host index)`` of one shortest-path query:
+        a fresh capacity-constrained Dijkstra over the links whose
+        current residual covers ``load``. With a ``node_load`` it stops
+        at the cheapest node that can carry it (``-1`` when there is
+        none), and tree and distances cover only what it settled, the
+        host's path included; without one it walks the whole tree."""
         self.direct_routes += 1
         index = self.index
-        order, parent_node, parent_link, dist = indexed_capacity_dijkstra(
+        host, parent_node, parent_link, dist, settled = cheapest_host_search(
             index.adj, index.link_cost_list, source, load,
-            self.residual.link_residual,
+            self.residual.link_residual, node_load, index.node_cost_list,
+            index.min_node_cost, self.residual.node_residual,
         )
-        return _RouteTree(source, order, parent_node, parent_link), dist
+        self.settled_nodes += settled
+        return _RouteTree(source, parent_node, parent_link), dist, host
 
     def stats(self) -> dict:
         """Operational counters for bench rows and diagnostics."""
@@ -117,6 +121,7 @@ class GreedyContext:
         # GREEDY_COUNTERS), which is frozen; nothing else uses them.
         return {
             "direct_routes": self.direct_routes,
+            "settled_nodes": self.settled_nodes,
             "cache_hits": 0,
             "cache_misses": 0,
             "mode_switches": 0,
@@ -178,27 +183,13 @@ def _single_host_embed(
     residual = ctx.residual
     route_load = request.demand * profile.root_link_size_sum
     source = index.node_index[request.ingress]
-    tree, dist = ctx._route(source, route_load)
-
     node_load = profile.group_load("all", request.demand)
     if isinstance(node_load, float):
-        # Scalar η case: the host scan stays in native floats. Visiting
-        # reached nodes in index order reproduces the reference scan's
-        # first-strict-minimum tie-breaking exactly.
-        node_residual = residual.node_residual
-        node_costs = index.node_cost_list
-        best_cost = math.inf
-        host_idx = -1
-        for v in tree.scan_nodes:
-            if node_load > node_residual[v]:
-                continue
-            cost = node_load * node_costs[v] + dist[v]
-            if cost < best_cost:
-                best_cost = cost
-                host_idx = v
+        tree, _, host_idx = ctx._route(source, route_load, node_load)
         if host_idx < 0:
             return None
     else:
+        tree, dist, _ = ctx._route(source, route_load)
         dist_array = np.array(dist)
         with np.errstate(invalid="ignore"):
             candidates = (
@@ -210,25 +201,9 @@ def _single_host_embed(
         cost = node_load * index.node_cost + dist_array
         cost[~candidates] = math.inf
         host_idx = int(np.argmin(cost))
-    return _finish_single_host(ctx, request, app, profile, tree, host_idx)
 
-
-def _finish_single_host(
-    ctx: GreedyContext,
-    request: Request,
-    app: Application,
-    profile: AppProfile,
-    tree,
-    host_idx: int,
-):
-    """Materialize the chosen single-host embedding (path, loads, fits).
-
-    Reconstruct the tree path, build the exact collocated loads, and
-    apply the reference's single fits check on the chosen host
-    (infeasible → reject, never try the next-best host).
-    """
-    index = ctx.index
-    residual = ctx.residual
+    # Tree path, exact collocated loads, and the reference's single fits
+    # check on the chosen host (infeasible → reject, never the next-best).
     host = index.node_ids[host_idx]
     path, positions = tree.path_to(host_idx, index.link_ids)
     loads = _collocated_loads(
@@ -323,10 +298,7 @@ def _two_host_embed(
     need_root_gpu = ("gpu", "root") in pairs_present
     need_cross = ("generic", "gpu") in pairs_present
 
-    source = index.node_index[request.ingress]
-    tree_v, dist_v = ctx._route(source, root_generic)
-    tree_w, dist_w = ctx._route(source, root_gpu)
-
+    # Node check first: a request no node can host never routes.
     node_array = residual.node_array()
     generic_hosts = _feasible_hosts(
         profile.group_load("generic", demand), node_array
@@ -336,6 +308,10 @@ def _two_host_embed(
     )
     if not generic_hosts or not gpu_hosts:
         return None
+
+    source = index.node_index[request.ingress]
+    tree_v, dist_v, _ = ctx._route(source, root_generic)
+    tree_w, dist_w, _ = ctx._route(source, root_gpu)
 
     # One tree per GPU host candidate covers all v→w pair paths.
     gpu_routes = {w: ctx._route(w, cross) for w, _ in gpu_hosts}

@@ -49,6 +49,8 @@ class SubstrateIndex:
     adj: tuple[tuple[tuple[int, int], ...], ...]
     link_cost_list: tuple[float, ...]
     node_cost_list: tuple[float, ...]
+    #: Cheapest node cost — the bound the fused GREEDYEMBED search stops on.
+    min_node_cost: float
     #: Static LinkId → cost map for code that routes by link key.
     link_cost_map: dict[LinkId, float]
 
@@ -65,6 +67,7 @@ class SubstrateIndex:
             )
             for node in node_ids
         )
+        node_cost_list = tuple(substrate.nodes[v].cost for v in node_ids)
         return cls(
             node_ids=node_ids,
             link_ids=link_ids,
@@ -82,9 +85,8 @@ class SubstrateIndex:
             link_cost_list=tuple(
                 substrate.links[l].cost for l in link_ids
             ),
-            node_cost_list=tuple(
-                substrate.nodes[v].cost for v in node_ids
-            ),
+            node_cost_list=node_cost_list,
+            min_node_cost=min(node_cost_list, default=0.0),
             link_cost_map={
                 l: substrate.links[l].cost for l in link_ids
             },

@@ -98,14 +98,20 @@ def capacity_constrained_dijkstra(
     return dist, parent
 
 
-def indexed_capacity_dijkstra(
+def cheapest_host_search(
     adj: Sequence[Sequence[tuple[int, int]]],
     link_costs: Sequence[float],
     source: int,
     load: float,
     link_residual: Sequence[float],
-) -> tuple[list[int], list[int], list[int], list[float]]:
-    """Integer-indexed twin of :func:`capacity_constrained_dijkstra`.
+    node_load: float,
+    node_costs: Sequence[float],
+    min_node_cost: float,
+    node_residual: Sequence[float],
+) -> tuple[int, list[int], list[int], list[float], int]:
+    """Integer-indexed twin of :func:`capacity_constrained_dijkstra`,
+    fused with GREEDYEMBED's host scan: it stops as soon as no farther
+    node can be the cheapest host.
 
     Operates on a :class:`~repro.substrate.network.SubstrateIndex`-style
     adjacency (per-node ``(neighbor_idx, link_idx)`` pairs, in the same
@@ -116,15 +122,35 @@ def indexed_capacity_dijkstra(
     call). The relaxation sequence, heap tie-breaking counter and
     floating-point accumulation mirror the dict version exactly, so for
     the same inputs both produce bit-identical distances and the same
-    shortest-path tree.
+    shortest-path tree over the nodes this one settles.
+
+    Each node is scored as it is settled — ``node_load * node_costs[v] +
+    dist[v]``, skipped when ``node_load > node_residual[v]`` — and the
+    best ``(cost, index)`` is kept, the lower index winning an exact cost
+    tie: the first strict minimum of a scan over the whole tree in index
+    order. The search stops at the first pop whose distance ``d`` gives
+    ``node_load * min_node_cost + d > best cost``; ``min_node_cost`` must
+    be a lower bound on ``node_costs`` and ``node_load`` non-negative.
+    ``node_load=math.inf`` scores no node and so never stops: the whole
+    tree, for callers that pick hosts themselves.
+
+    The stop is exact. Relaxation order, heap counter and arithmetic do
+    not depend on it, so every settled node has the whole tree's distance
+    and parent. Pop distances never decrease and float ``*`` and ``+``
+    round monotonically, so every unsettled node scores at least the stop
+    key, which already exceeds the best cost. And the test is strict, so
+    every node that ties the best cost is settled before the stop and the
+    index tie-break sees all of them.
 
     Returns
     -------
-    (order, parent_node, parent_link, dist):
-        ``order`` lists settled nodes in pop order (``order[0] ==
-        source``; parents always precede children). ``parent_node[v]`` /
-        ``parent_link[v]`` are ``-1`` for the source and unreached nodes;
-        ``dist[v]`` is ``math.inf`` for unreached nodes.
+    (host, parent_node, parent_link, dist, settled):
+        ``host`` is the chosen node or ``-1`` when no reached node can
+        carry ``node_load`` (the search then settled everything
+        reachable). ``settled`` is the number of nodes settled, the
+        source included; ``parent_node`` / ``parent_link`` / ``dist`` are
+        final for those nodes (``-1`` parents for the source) and
+        tentative, or ``-1`` / ``math.inf``, for the rest.
     """
     num_nodes = len(adj)
     dist: list[float] = [float("inf")] * num_nodes
@@ -132,7 +158,9 @@ def indexed_capacity_dijkstra(
     parent_node = [-1] * num_nodes
     parent_link = [-1] * num_nodes
     visited = [False] * num_nodes
-    order: list[int] = []
+    settled = 0
+    best_cost = float("inf")
+    host = -1
     heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
     counter = 1  # tie-breaker, mirroring capacity_constrained_dijkstra
     push = heapq.heappush
@@ -141,8 +169,15 @@ def indexed_capacity_dijkstra(
         d, _, node = pop(heap)
         if visited[node]:
             continue
+        if node_load * min_node_cost + d > best_cost:
+            break
         visited[node] = True
-        order.append(node)
+        settled += 1
+        if node_load <= node_residual[node]:
+            cost = node_load * node_costs[node] + d
+            if cost < best_cost or (cost == best_cost and node < host):
+                best_cost = cost
+                host = node
         for neighbor, link in adj[node]:
             if visited[neighbor] or link_residual[link] < load:
                 continue
@@ -153,7 +188,7 @@ def indexed_capacity_dijkstra(
                 parent_link[neighbor] = link
                 push(heap, (candidate, counter, neighbor))
                 counter += 1
-    return order, parent_node, parent_link, dist
+    return host, parent_node, parent_link, dist, settled
 
 
 def path_links(parent: Mapping, source: object, target: object) -> list | None:

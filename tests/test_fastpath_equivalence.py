@@ -75,15 +75,15 @@ def _by_slot(requests) -> dict[int, list]:
 
 
 def _count_dijkstra_runs(monkeypatch) -> list[int]:
-    """Wrap the fast path's shortest-path call; ``[0]`` holds the count."""
+    """Wrap the fast path's shortest-path search; ``[0]`` holds the count."""
     runs = [0]
-    dijkstra = greedy_module.indexed_capacity_dijkstra
+    search = greedy_module.cheapest_host_search
 
     def counted(*args):
         runs[0] += 1
-        return dijkstra(*args)
+        return search(*args)
 
-    monkeypatch.setattr(greedy_module, "indexed_capacity_dijkstra", counted)
+    monkeypatch.setattr(greedy_module, "cheapest_host_search", counted)
     return runs
 
 
@@ -276,11 +276,17 @@ class TestOneRoutePerEmbed:
             decisions = session.process_many(by_slot[slot])
             session.close_slot()
             offered += len(decisions)
+        stats = algorithm.greedy_context.stats()
         assert runs[0] == offered
-        assert algorithm.greedy_context.stats()["direct_routes"] == offered
+        assert stats["direct_routes"] == offered
+        # Mechanism guard: the fused search stops near the ingress. A
+        # regression to whole-tree walking settles ~all 120 nodes per
+        # route and fails this count, not a timing.
+        per_route = stats["settled_nodes"] / stats["direct_routes"]
+        assert 1 <= per_route < scenario.substrate.num_nodes / 2
 
-    def test_two_group_embed_runs_one_dijkstra_per_route(self, monkeypatch):
-        """Ingress→generic, ingress→GPU, and one tree per GPU host."""
+    @staticmethod
+    def _two_group_case():
         scenario = build_scenario(
             ExperimentConfig.test(gpu_scenario=True, app_mix="gpu"), seed=4,
             with_plan=False,
@@ -299,10 +305,35 @@ class TestOneRoutePerEmbed:
             profile.group_load("gpu", request.demand), residual.node_array()
         )
         assert gpu_hosts
+        return scenario, context, request, app, gpu_hosts
+
+    def test_two_group_embed_runs_one_dijkstra_per_route(self, monkeypatch):
+        """Ingress→generic, ingress→GPU, and one tree per GPU host."""
+        scenario, context, request, app, gpu_hosts = self._two_group_case()
         runs = _count_dijkstra_runs(monkeypatch)
         assert context.embed(request, app) is not None
         assert runs[0] == len(gpu_hosts) + 2
-        assert context.stats()["direct_routes"] == runs[0]
+        stats = context.stats()
+        assert stats["direct_routes"] == runs[0]
+        # Whole trees on an idle substrate: every route settles every node.
+        assert stats["settled_nodes"] == runs[0] * scenario.substrate.num_nodes
+
+    def test_two_group_embed_failing_node_check_never_routes(
+        self, monkeypatch
+    ):
+        """No GPU node can host the GPU group → rejected before routing,
+        exactly like the reference."""
+        scenario, context, request, app, gpu_hosts = self._two_group_case()
+        for node, _ in gpu_hosts:
+            context.residual.nodes[context.index.node_ids[node]] = 0.0
+        runs = _count_dijkstra_runs(monkeypatch)
+        assert context.embed(request, app) is None
+        assert greedy_reference.greedy_embed(
+            request, app, scenario.substrate, scenario.efficiency,
+            context.residual,
+        ) is None
+        assert runs[0] == 0
+        assert context.stats()["direct_routes"] == 0
 
 
 class TestGreedyEmbedEquivalence:
