@@ -7,12 +7,15 @@ aggregate offer throughput to a ``BENCH_shard.json`` trajectory (one
 record appended per run). Checkpointing stays at the serving default
 (every slot boundary) so the measured number is the real tier, failover
 insurance included — and that insurance is priced in the record: per K,
-``checkpoint_ms`` is the median of three ``checkpoint_workers()`` rounds
-at the end of the horizon (where the decision log, which a checkpoint
-carries whole, is longest) and ``checkpoint_mb`` the bytes the frontend
-then holds for all K workers. A checkpoint is one pickle of each
-worker's durable state — no deep copy, no path-cache trees — so a round
-costs tens of milliseconds where it used to cost seconds.
+``checkpoint_ms`` is the median of the drive's last three
+``checkpoint_workers()`` rounds — the boundaries that follow the last
+three served slots, where the decision log, which a checkpoint carries
+whole, is longest — and ``checkpoint_mb`` the bytes the frontend then
+holds for all K workers. A round pickles what its slot added (the
+decisions logged, the allocations made) and copies the sealed bytes of
+everything older, so it is timed behind a served slot: back-to-back
+rounds with nothing new between them read the floor, not what a
+boundary costs.
 
 Correctness gates, every run:
 
@@ -83,20 +86,34 @@ def _drive(service, trace):
     return decisions, time.perf_counter() - start
 
 
-def _checkpoint_cost(service):
+def _time_checkpoints(service):
+    """Seconds of every ``checkpoint_workers()`` round from here on.
+
+    ``advance_to`` checkpoints through the instance, so the wrapper
+    installed there times the rounds the drive itself triggers, one per
+    slot boundary; the returned list grows as they happen.
+    """
+    rounds = []
+    checkpoint = service.checkpoint_workers
+
+    def timed():
+        start = time.perf_counter()
+        checkpoint()
+        rounds.append(time.perf_counter() - start)
+
+    service.checkpoint_workers = timed
+    return rounds
+
+
+def _checkpoint_cost(service, rounds):
     """``(ms, MB)`` of one ``checkpoint_workers()`` round, all K workers.
 
-    Median of three rounds at the slot boundary the drive stopped at;
+    Median of the drive's last three rounds, each behind a served slot;
     the size is what the frontend holds afterwards (white-box: the
     checkpoints have no public reader, failover is their only user).
     """
-    rounds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        service.checkpoint_workers()
-        rounds.append(time.perf_counter() - start)
     held = sum(len(payload) for payload in service._checkpoints)
-    return statistics.median(rounds) * 1e3, held / 2**20
+    return statistics.median(rounds[-3:]) * 1e3, held / 2**20
 
 
 def _k1_over_unsharded(experiment, trace, first_pair):
@@ -136,8 +153,11 @@ def test_shard_throughput(benchmark):
                 seed=SEED, shards=num_shards, shard_workers="process"
             )
             with service:
+                rounds = _time_checkpoints(service)
                 decisions, wall = _drive(service, trace)
-                checkpoint_ms, checkpoint_mb = _checkpoint_cost(service)
+                checkpoint_ms, checkpoint_mb = _checkpoint_cost(
+                    service, rounds
+                )
                 measured[num_shards] = {
                     "decisions": decisions,
                     "wall": wall,

@@ -25,6 +25,7 @@ QUICKG baseline.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 from repro.apps.application import Application
@@ -120,6 +121,11 @@ class OliveAlgorithm:
         # the sums accumulate bit-identically to iterating it.
         self._active_demands: dict[int, float] = {}
         self._active_costs: dict[int, float] = {}
+        #: Request id → ``(allocation, its write-once fields pickled)``
+        #: for the allocations the last pickling saw (see __getstate__).
+        self._sealed_allocations: dict[
+            int, tuple[_ActiveAllocation, bytes]
+        ] = {}
 
     def switch_plan(self, plan: Plan) -> None:
         """Replace the embedding plan mid-run (time-windowed planning).
@@ -137,6 +143,71 @@ class OliveAlgorithm:
         for allocation in self.active.values():
             allocation.planned = False
             allocation.pattern_index = None
+
+    # -- checkpointing -------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """The algorithm's state with each allocation pickled once.
+
+        An allocation's ``request``, ``embedding``, ``loads``,
+        ``cost_per_slot`` and ``class_key`` are never written after
+        :meth:`_allocate`, so they are pickled the first time a
+        checkpoint sees the allocation and the bytes are reused by every
+        later one; ``planned`` and ``pattern_index``, which
+        :meth:`switch_plan` rewrites, ride beside them each time. The
+        bytes are held against the allocation *object*: an id that left
+        ``active`` is dropped, and an id allocated again (a reroute) is
+        a new object and is pickled afresh. ``active``'s order is the
+        order of the rows.
+        """
+        known = self._sealed_allocations
+        sealed: dict[int, tuple[_ActiveAllocation, bytes]] = {}
+        rows = []
+        for request_id, allocation in self.active.items():
+            entry = known.get(request_id)
+            if entry is None or entry[0] is not allocation:
+                entry = (
+                    allocation,
+                    pickle.dumps(
+                        (
+                            allocation.request,
+                            allocation.embedding,
+                            allocation.loads,
+                            allocation.cost_per_slot,
+                            allocation.class_key,
+                        ),
+                        protocol=pickle.HIGHEST_PROTOCOL,
+                    ),
+                )
+            sealed[request_id] = entry
+            rows.append(
+                (entry[1], allocation.planned, allocation.pattern_index)
+            )
+        self._sealed_allocations = sealed
+        state = self.__dict__.copy()
+        del state["_sealed_allocations"]
+        state["active"] = rows
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild ``active`` from its rows, in order, keeping the bytes."""
+        rows = state.pop("active")
+        self.__dict__.update(state)
+        self.active = {}
+        self._sealed_allocations = {}
+        for sealed, planned, pattern_index in rows:
+            request, embedding, loads, cost, class_key = pickle.loads(sealed)
+            allocation = _ActiveAllocation(
+                request=request,
+                embedding=embedding,
+                loads=loads,
+                cost_per_slot=cost,
+                planned=planned,
+                pattern_index=pattern_index,
+                class_key=class_key,
+            )
+            self.active[request.id] = allocation
+            self._sealed_allocations[request.id] = (allocation, sealed)
 
     # -- departures ---------------------------------------------------------
 

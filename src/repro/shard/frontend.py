@@ -395,10 +395,7 @@ class ShardedEmbedderService:
             )
         while self._clock < slot:
             new_clock = self._clock + 1
-            for worker in self._workers:
-                worker.send("advance_to", new_clock)
-            for worker in self._workers:
-                worker.recv()
+            self._broadcast("advance_to", new_clock)
             self.ledger.advance(new_clock)
             self._clock = new_clock
             self._offered_in_slot.clear()
@@ -410,9 +407,7 @@ class ShardedEmbedderService:
     def finish(self) -> ShardedRunResult:
         """Drain the full horizon and assemble the sharded result."""
         self.advance_to(self.horizon)
-        for worker in self._workers:
-            worker.send("result")
-        per_shard = tuple(worker.recv() for worker in self._workers)
+        per_shard = tuple(self._broadcast("result"))
         return ShardedRunResult(
             decisions=tuple(self._decisions),
             per_shard=per_shard,
@@ -447,11 +442,7 @@ class ShardedEmbedderService:
         fits the windows).
         """
         self._require_open()
-        for worker in self._workers:
-            worker.send("metrics")
-        streams, utilizations, pending = zip(
-            *(worker.recv() for worker in self._workers)
-        )
+        streams, utilizations, pending = zip(*self._broadcast("metrics"))
         total_capacity = sum(r.capacity for r in self.partition.shards)
         utilization = (
             sum(
@@ -472,10 +463,7 @@ class ShardedEmbedderService:
 
     def checkpoint_workers(self) -> None:
         """Checkpoint every worker now (slot boundaries only)."""
-        for worker in self._workers:
-            worker.send("checkpoint")
-        for shard, worker in enumerate(self._workers):
-            self._checkpoints[shard] = worker.recv()
+        self._checkpoints[:] = self._broadcast("checkpoint")
 
     def kill_worker(self, shard: int) -> None:
         """Hard-kill one worker (fault injection; process workers only)."""
@@ -527,6 +515,37 @@ class ShardedEmbedderService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _broadcast(self, command: str, *args: Any) -> list[Any]:
+        """Send ``command`` to every worker, then read every reply.
+
+        Sending first and collecting afterwards is what lets process
+        workers overlap. Every worker that took the command is read
+        before anything is raised — a reply left in a pipe (or in an
+        inline worker's queue) would be taken for the answer to the
+        *next* command, and so would every one after it. A worker that
+        refuses the send ends the sending; then the first failure, in
+        shard order, is raised.
+        """
+        refused: list[Exception] = []
+        sent = []
+        for worker in self._workers:
+            try:
+                worker.send(command, *args)
+            except Exception as error:  # raised below, after the reads
+                refused.append(error)
+                break
+            sent.append(worker)
+        replies: list[Any] = []
+        failed: list[Exception] = []
+        for worker in sent:
+            try:
+                replies.append(worker.recv())
+            except Exception as error:  # raised below, after the reads
+                failed.append(error)
+        for error in failed + refused:
+            raise error
+        return replies
 
     def _require_open(self) -> None:
         if self._closed:

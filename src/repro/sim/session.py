@@ -120,6 +120,14 @@ class SessionSnapshot:
     arrivals, event cursor, decision log, metric arrays, counters — plus
     the small app-profile cache; no routing state outlives an embed, so
     a restored session decides identically.
+
+    Taking a checkpoint costs what changed since the previous one: the
+    decision log and the OLIVE-family active table ride as ``bytes``
+    sealed by earlier checkpoints (``SimulationSession.__getstate__``,
+    ``OliveAlgorithm.__getstate__``), and only the decisions and
+    allocations made since are pickled. A payload is nevertheless
+    self-contained — it carries every sealed segment, not a reference
+    to an earlier checkpoint — so any one of them restores on its own.
     """
 
     _payload: bytes = field(repr=False)
@@ -315,6 +323,10 @@ class SimulationSession:
 
         # Accumulated run state (what result() assembles).
         self._decisions: list[Decision] = []
+        # The log's checkpointed prefix, pickled: one segment per
+        # checkpoint that found new decisions (see __getstate__).
+        self._sealed_segments: list[bytes] = []
+        self._sealed_decisions = 0
         self._preemptions: list[tuple[Request, int]] = []
         self._disruptions: list[tuple[Request, int]] = []
         # Workload events were already consumed transforming the seed
@@ -744,8 +756,10 @@ class SimulationSession:
         Everything the run depends on is captured by value — algorithm
         residuals, pending arrivals, the event cursor, accumulated
         decisions and metric arrays — so restoring and continuing is
-        bit-identical to never having stopped. Snapshots are only
-        available between slots (open slots hold half-applied state).
+        bit-identical to never having stopped. Decisions already sealed
+        by an earlier checkpoint are not pickled again (see
+        :meth:`__getstate__`). Snapshots are only available between
+        slots (open slots hold half-applied state).
         """
         return dump_checkpoint(self, self)
 
@@ -759,6 +773,37 @@ class SimulationSession:
         submissions).
         """
         return load_checkpoint(snapshot, cls)
+
+    def __getstate__(self) -> dict:
+        """The session's state with the decision log as pickled segments.
+
+        A logged :class:`Decision` never changes again, so each is
+        pickled exactly once: the decisions logged since the previous
+        pickling are sealed into one more immutable ``bytes`` segment,
+        and the segments ride in place of the list — a copy of bytes,
+        whatever the length of the run. The log still travels whole, so
+        a payload stays self-contained.
+        """
+        fresh = self._decisions[self._sealed_decisions:]
+        if fresh:
+            self._sealed_segments.append(
+                pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+            self._sealed_decisions = len(self._decisions)
+        state = self.__dict__.copy()
+        del state["_decisions"]
+        state["_sealed_segments"] = list(self._sealed_segments)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Reassemble the log from its segments, in order, and keep them:
+        the restored session's next checkpoint is incremental too."""
+        self.__dict__.update(state)
+        self._decisions = [
+            decision
+            for segment in self._sealed_segments
+            for decision in pickle.loads(segment)
+        ]
 
     def __repr__(self) -> str:
         state = "open" if self._slot_open else "idle"

@@ -6,12 +6,17 @@ substrate, one 2-VNF chain (node footprint 20/demand-unit, link footprint
 demand units of class (app 0, ingress edge-a) collocated on 'transport'.
 """
 
+import pickle
+
 import pytest
 
 from repro.apps.application import ROOT_ID
 from repro.core.olive import OliveAlgorithm
 from repro.errors import SimulationError
 from repro.plan.pattern import ClassPlan, EmbeddingPattern, Plan
+from repro.plan.replanning import ReplanningOliveAlgorithm
+from repro.plan.windowed import PlanSchedule, WindowedOliveAlgorithm
+from repro.sim.session import SimulationSession
 from repro.stats.aggregate import AggregateRequest
 from repro.workload.request import Request
 from tests.conftest import make_line_substrate, make_two_vnf_chain
@@ -171,6 +176,82 @@ class TestPreemption:
         assert not decision.accepted
         # The borrower survives a failed preemption attempt.
         assert 50 in olive.active
+
+
+def _windowed(substrate, app):
+    schedule = PlanSchedule(
+        starts=[0, 3], plans=[_plan_at_transport(), _plan_at_transport()]
+    )
+    return WindowedOliveAlgorithm(substrate, [app], schedule)
+
+
+def _replanning(substrate, app):
+    return ReplanningOliveAlgorithm(
+        substrate, [app], interval=3, window=3,
+        seed_plan=_plan_at_transport(),
+    )
+
+
+class TestCheckpoint:
+    def test_an_allocation_is_pickled_once(self, olive):
+        """Pickling twice reuses the first pickling's bytes for every
+        allocation still active, in ``active`` order; a released id's
+        bytes are dropped, a new id's are added."""
+        for rid in (1, 2, 3):
+            olive.process(_request(rid, demand=2.0))
+        first = olive.__getstate__()["active"]
+        assert [pickle.loads(row)[0].id for row, _, _ in first] == [1, 2, 3]
+
+        olive.release(_request(2, demand=2.0))
+        olive.process(_request(4, demand=2.0))
+        second = olive.__getstate__()["active"]
+        assert [pickle.loads(row)[0].id for row, _, _ in second] == [1, 3, 4]
+        assert second[0][0] is first[0][0] and second[1][0] is first[2][0]
+        assert list(olive._sealed_allocations) == [1, 3, 4]
+
+        restored = pickle.loads(pickle.dumps(olive))
+        assert restored.active == olive.active
+        assert list(restored.active) == [1, 3, 4]
+        assert restored.active_demand() == olive.active_demand()
+        again = restored.__getstate__()["active"]
+        assert [row for row, _, _ in again] == [row for row, _, _ in second]
+
+    @pytest.mark.parametrize(
+        "make", [_windowed, _replanning], ids=["OLIVE-W", "OLIVE-RE"]
+    )
+    def test_switch_plan_after_a_checkpoint_is_checkpointed(
+        self, chain_app, make
+    ):
+        """``switch_plan`` rewrites ``planned`` / ``pattern_index`` on
+        allocations whose bytes were cached by an earlier checkpoint;
+        the next checkpoint carries the post-switch values."""
+        substrate = make_line_substrate(
+            node_capacity=1000.0, link_capacity=2000.0
+        )
+        requests = [
+            Request(arrival=arrival, id=rid, app_index=0, ingress="edge-a",
+                    demand=2.0, duration=8)
+            for rid, arrival in enumerate([0, 0, 1, 2, 3, 3, 4, 5])
+        ]
+        session = SimulationSession(make(substrate, chain_app), requests, 8)
+        algorithm = session.algorithm
+        session.run_until(3)
+        session.snapshot()
+        early = [rid for rid, a in algorithm.active.items() if a.planned]
+        assert early
+        session.step()  # slot 3 switches the plan
+        assert not any(algorithm.active[rid].planned for rid in early)
+
+        resumed = SimulationSession.restore(session.snapshot())
+        assert resumed.algorithm.active == algorithm.active
+        for rid in early:
+            allocation = resumed.algorithm.active[rid]
+            assert not allocation.planned and allocation.pattern_index is None
+        assert resumed.run().decisions == session.run().decisions
+        assert (
+            resumed.algorithm.plan_residual.residual
+            == algorithm.plan_residual.residual
+        )
 
 
 class TestIntrospection:

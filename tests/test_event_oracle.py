@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import pickletools
 import random
 
 import numpy as np
@@ -317,12 +318,17 @@ def _check_pickle_round_trip(algorithm_name: str, profile: str) -> None:
         events=schedule,
     )
     # A different deterministic split than the restore leg, so the two
-    # checks cover distinct checkpoint slots per combination.
+    # checks cover distinct checkpoint slots per combination — and a
+    # checkpoint at every boundary up to it, so the payload that is
+    # resumed was assembled the way a per-slot checkpointer assembles
+    # it: sealed segments and allocation bytes carried over from earlier
+    # checkpoints, across whatever the events did in between.
     split = random.Random(f"pickle:{algorithm_name}:{profile}").randrange(
         1, slots - 1
     )
-    session.run_until(split)
-    payload = session.snapshot().to_bytes()
+    for _ in range(split):
+        session.step()
+        payload = session.snapshot().to_bytes()
     session.run_until(slots)
     _assert_session_identical(session.result(), batch)
 
@@ -380,20 +386,41 @@ class TestSnapshotPickleRoundTrip:
         _check_pickle_round_trip(algorithm, profile)
 
 
-def _classes_in(payload: bytes) -> set[str]:
-    """Names of every class a checkpoint's header + body pickles refer to."""
-    seen: set[str] = set()
+def _classes_in(payload: bytes) -> tuple[set[str], set[str]]:
+    """Names of every class a checkpoint's pickles refer to.
 
-    class Recorder(pickle.Unpickler):
-        def find_class(self, module: str, name: str):
-            seen.add(name)
-            return super().find_class(module, name)
+    ``(outer, sealed)``: the classes the header + body name themselves,
+    and the classes named inside ``bytes`` values that are pickles in
+    their own right — the sealed decision segments and allocations,
+    which the outer unpickler only ever sees as bytes.
+    """
+    outer: set[str] = set()
+    sealed: set[str] = set()
+
+    def load(stream: io.BytesIO, seen: set[str]):
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module: str, name: str):
+                seen.add(name)
+                return super().find_class(module, name)
+
+        start = stream.tell()
+        loaded = Recorder(stream).load()
+        for opcode, value, _ in pickletools.genops(
+            stream.getvalue()[start:stream.tell()]
+        ):
+            if (
+                opcode.name in ("SHORT_BINBYTES", "BINBYTES", "BINBYTES8")
+                and value[:1] == pickle.PROTO
+                and value[-1:] == pickle.STOP
+            ):
+                load(io.BytesIO(value), sealed)
+        return loaded
 
     stream = io.BytesIO(payload)
-    Recorder(stream).load()  # header
-    assert isinstance(Recorder(stream).load(), SimulationSession)
+    load(stream, outer)  # header
+    assert isinstance(load(stream, outer), SimulationSession)
     assert stream.tell() == len(payload)
-    return seen
+    return outer, sealed
 
 
 class TestSnapshotPayload:
@@ -414,9 +441,11 @@ class TestSnapshotPayload:
 
         snapshot = session.snapshot()
         payload = snapshot.to_bytes()
-        seen = _classes_in(payload)
-        assert "SimulationSession" in seen
-        assert not seen & self.DERIVED
+        outer, sealed = _classes_in(payload)
+        assert "SimulationSession" in outer
+        assert not (outer | sealed) & self.DERIVED
+        # The decision log rides as sealed segments and nowhere else.
+        assert "Decision" in sealed and "Decision" not in outer
 
         # Nothing derived leaks back in through a restore either.
         again = SimulationSession.restore(snapshot).snapshot().to_bytes()

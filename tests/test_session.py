@@ -375,6 +375,71 @@ class TestSnapshot:
         assert resumed.algorithm.greedy_context.stats() == live.stats()
         assert resumed.run().decisions == session.run().decisions
 
+    def test_a_checkpoint_pickles_only_what_is_new(
+        self, line_substrate, chain_app
+    ):
+        """Counted, not timed: at every boundary of a 24-slot run the
+        checkpoint pickles exactly the decisions logged and the
+        allocations made since the previous one; everything older rides
+        as the very bytes objects the previous checkpoint shipped."""
+        algorithm = make_quickg(line_substrate, [chain_app])
+        session = SimulationSession(
+            algorithm,
+            [_request(i, arrival=i % 24, duration=1 + i % 5)
+             for i in range(60)],
+            24,
+        )
+        segments: list[bytes] = []
+        sealed: dict[int, bytes] = {}
+        for _ in range(24):
+            report = session.step()
+            session.snapshot()
+
+            now = session._sealed_segments
+            assert all(a is b for a, b in zip(segments, now))
+            fresh = now[len(segments):]
+            assert len(fresh) == (1 if report.decisions else 0)
+            assert [d for s in fresh for d in pickle.loads(s)] == list(
+                report.decisions
+            )
+            segments = list(now)
+
+            rows = {
+                rid: row for rid, (_, row)
+                in algorithm._sealed_allocations.items()
+            }
+            assert list(rows) == list(algorithm.active)
+            accepted = {d.request.id for d in report.decisions if d.accepted}
+            assert {
+                rid for rid, row in rows.items() if row is not sealed.get(rid)
+            } == accepted & set(algorithm.active)
+            sealed = rows
+        assert len(segments) >= 20
+
+    def test_restored_session_checkpoints_incrementally(self, session):
+        """A session restored from a checkpoint holding several segments
+        reports the same result, and its next checkpoint adds one
+        segment on top of the ones it was restored from."""
+        for _ in range(4):
+            session.step()
+            snapshot = session.snapshot()
+        resumed = SimulationSession.restore(snapshot)
+        held = list(resumed._sealed_segments)
+        assert len(held) >= 3
+        live, back = session.result(), resumed.result()
+        assert back.decisions == live.decisions
+        assert back.preemptions == live.preemptions
+        assert np.array_equal(back.allocated_demand, live.allocated_demand)
+        assert np.array_equal(back.resource_cost, live.resource_cost)
+
+        resumed.submit(_request(99, arrival=4))
+        resumed.step()
+        resumed.snapshot()
+        assert len(resumed._sealed_segments) == len(held) + 1
+        assert all(a is b for a, b in zip(held, resumed._sealed_segments))
+        again = SimulationSession.restore(resumed.snapshot())
+        assert again.result().decisions == resumed.result().decisions
+
     def test_restored_session_accepts_new_submissions(
         self, line_substrate, chain_app
     ):
@@ -418,6 +483,46 @@ class TestSessionEvents:
         assert streamed.num_events == batch.num_events == 2
         assert sum(r.num_events for r in reports) == 2
         assert [r.slot for r in reports if r.num_events] == [2, 4]
+
+    def test_rerouted_allocation_is_checkpointed_afresh(
+        self, line_substrate, chain_app
+    ):
+        """A reroute re-allocates the same request id: the checkpoint
+        after it must carry the *new* allocation, at its new place in
+        ``active``, not the bytes cached for the old one."""
+        link = ("core", "transport")
+        schedule = EventSchedule(
+            [LinkFailure(slot=2, link=link), LinkRecovery(slot=4, link=link)],
+            policy="reroute",
+        )
+        algorithm = make_quickg(line_substrate, [chain_app])
+        session = SimulationSession(
+            algorithm,
+            [_request(i, arrival=i % 2, duration=6) for i in range(4)]
+            + [_request(9, arrival=1, duration=6, ingress="edge-b")],
+            8,
+            events=schedule,
+        )
+        session.run_until(2)
+        session.snapshot()
+        before = {
+            rid: allocation.loads
+            for rid, allocation in algorithm.active.items()
+        }
+        session.step()  # the failure strands and reroutes ids 0-3
+        moved = [
+            rid for rid, allocation in algorithm.active.items()
+            if allocation.loads != before[rid]
+        ]
+        assert moved and list(algorithm.active)[-len(moved):] == moved
+
+        resumed = SimulationSession.restore(session.snapshot())
+        restored = resumed.algorithm.active
+        assert list(restored) == list(algorithm.active)
+        for rid, allocation in algorithm.active.items():
+            assert restored[rid] == allocation
+        assert resumed.run().decisions == session.run().decisions
+        assert resumed.result().disruptions == session.result().disruptions
 
     def test_live_arrivals_follow_ingress_migrations(
         self, line_substrate, chain_app

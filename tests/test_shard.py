@@ -503,6 +503,53 @@ class TestFailover:
                 )
             )
 
+    @pytest.mark.parametrize("refusing", [0, 1])
+    @pytest.mark.parametrize("workers", ["inline", "process"])
+    def test_refused_broadcast_leaves_no_reply_behind(self, workers, refusing):
+        """A broadcast one worker refuses still reads every other reply:
+        the next command gets its own answer, not a stale one, and the
+        run carries on exactly like one that was never disturbed."""
+        config = _config()
+        experiment = Experiment(config).algorithms("QUICKG")
+
+        def run(disturb: bool):
+            service = experiment.serve(
+                seed=3, shards=2, shard_workers=workers
+            )
+            with service:
+                rng = child_rng(make_rng(3), "serve-traffic")
+                decisions = []
+                for slot, batch in poisson_offers(
+                    service.scenario, config.online_slots, rng
+                ):
+                    if slot == 1:
+                        # Open slot 1 on the refusing shard first.
+                        first = [
+                            r for r in batch
+                            if service.shard_of(r.ingress) == refusing
+                        ]
+                        assert first
+                        decisions.extend(service.offer_many(first))
+                        if disturb:
+                            with pytest.raises(
+                                (ShardError, SimulationError),
+                                match="slot 1 is open",
+                            ):
+                                service.checkpoint_workers()
+                            assert service.metrics().offers >= len(decisions)
+                        batch = [r for r in batch if r not in first]
+                    decisions.extend(service.offer_many(batch))
+                    service.advance_to(slot + 1)
+                return decisions, service.metrics()
+
+        expected, expected_metrics = run(disturb=False)
+        actual, metrics = run(disturb=True)
+        assert actual == expected
+        for counter in ("offers", "accepted", "rejected", "shed"):
+            assert getattr(metrics, counter) == getattr(
+                expected_metrics, counter
+            ), counter
+
     def test_restore_guards(self):
         config = _config()
         experiment = Experiment(config).algorithms("QUICKG")
