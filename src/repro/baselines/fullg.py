@@ -30,8 +30,9 @@ import heapq
 import math
 
 from repro.apps.application import ROOT_ID, Application
-from repro.apps.efficiency import EfficiencyModel, UniformEfficiency
-from repro.core.embedding import Embedding, compute_loads
+from repro.apps.efficiency import EfficiencyModel
+from repro.core.embedding import ElementLoads, Embedding, compute_loads
+from repro.core.ledger import LedgerAlgorithm
 from repro.core.profile import AppProfile, AppProfileCache
 from repro.core.residual import ResidualState
 from repro.errors import SimulationError
@@ -192,8 +193,8 @@ def exact_embed(
     return embedding
 
 
-class FullGAlgorithm:
-    """Per-request exact embedder with OLIVE's release/process interface."""
+class FullGAlgorithm(LedgerAlgorithm):
+    """Per-request exact embedder on the shared ledger."""
 
     def __init__(
         self,
@@ -201,80 +202,22 @@ class FullGAlgorithm:
         apps: list[Application],
         efficiency: EfficiencyModel | None = None,
     ) -> None:
-        self.substrate = substrate
-        self.apps = apps
-        self.efficiency = efficiency or UniformEfficiency()
-        self.name = "FULLG"
-        self.residual = ResidualState(substrate)
-        self.active: dict[int, tuple[Request, object, float]] = {}
+        super().__init__(substrate, apps, efficiency, "FULLG")
         #: Shared per-application static data (η rows per node), reused
         #: by every request's placement-feasibility scan.
         self.profiles = AppProfileCache(substrate, self.efficiency)
 
-    def release(self, request: Request) -> None:
-        entry = self.active.pop(request.id, None)
-        if entry is None:
-            return
-        self.residual.release(entry[1])
-
-    def process(self, request: Request):
-        from repro.core.olive import Decision  # cycle-free late import
-
-        app = self.apps[request.app_index]
+    def _embed(
+        self, request: Request, app: Application
+    ) -> tuple[Embedding, ElementLoads] | None:
+        """The exact embedding against the live (possibly degraded)
+        residual, with its loads."""
         embedding = exact_embed(
             request, app, self.substrate, self.efficiency, self.residual,
             profile=self.profiles.get(app),
         )
         if embedding is None:
-            return Decision(request=request, accepted=False)
-        loads = compute_loads(
+            return None
+        return embedding, compute_loads(
             app, request.demand, embedding, self.substrate, self.efficiency
         )
-        self.residual.allocate(loads)
-        cost = loads.cost_per_slot(self.substrate)
-        self.active[request.id] = (request, loads, cost)
-        return Decision(
-            request=request,
-            accepted=True,
-            via_greedy=True,
-            embedding=embedding,
-            cost_per_slot=cost,
-        )
-
-    def active_demand(self) -> float:
-        return sum(entry[0].demand for entry in self.active.values())
-
-    def active_cost_per_slot(self) -> float:
-        return sum(entry[2] for entry in self.active.values())
-
-    # -- dynamic events ------------------------------------------------------
-
-    def active_loads(self):
-        """``(request, loads)`` in allocation order (disruption scans)."""
-        for request, loads, _ in self.active.values():
-            yield request, loads
-
-    def reroute(self, request: Request) -> bool:
-        """Re-embed a disrupted request exactly, against the degraded
-        substrate; the original allocation is already released."""
-        app = self.apps[request.app_index]
-        embedding = exact_embed(
-            request, app, self.substrate, self.efficiency, self.residual,
-            profile=self.profiles.get(app),
-        )
-        if embedding is None:
-            return False
-        loads = compute_loads(
-            app, request.demand, embedding, self.substrate, self.efficiency
-        )
-        self.residual.allocate(loads)
-        self.active[request.id] = (
-            request, loads, loads.cost_per_slot(self.substrate)
-        )
-        return True
-
-    def apply_events(self, t: int, events, policy: str) -> list[Request]:
-        """Consume one slot's capacity events (see OLIVE's counterpart)."""
-        from repro.scenarios.events import apply_and_resolve
-
-        return apply_and_resolve(self, events, policy)

@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.application import ROOT_ID, Application
-from repro.apps.efficiency import EfficiencyModel, UniformEfficiency
-from repro.core.embedding import Embedding, compute_loads
-from repro.core.olive import Decision
+from repro.apps.efficiency import EfficiencyModel
+from repro.core.embedding import ElementLoads, Embedding, compute_loads
+from repro.core.ledger import LedgerAlgorithm
 from repro.core.residual import ResidualState
 from repro.substrate.network import NodeId, SubstrateNetwork
 from repro.utils.paths import capacity_constrained_dijkstra, path_links
@@ -73,8 +73,8 @@ def compute_node_ranks(
     return {v: float(rank[index[v]]) for v in nodes}
 
 
-class NodeRankAlgorithm:
-    """Per-request node-ranking embedder (release/process interface).
+class NodeRankAlgorithm(LedgerAlgorithm):
+    """Per-request node-ranking embedder on the shared ledger.
 
     Ranks are refreshed lazily once per time slot — recomputing per request
     would dominate runtime without changing decisions much (the residual
@@ -87,30 +87,21 @@ class NodeRankAlgorithm:
         apps: list[Application],
         efficiency: EfficiencyModel | None = None,
     ) -> None:
-        self.substrate = substrate
-        self.apps = apps
-        self.efficiency = efficiency or UniformEfficiency()
-        self.name = "NODERANK"
-        self.residual = ResidualState(substrate)
-        self.active: dict[int, tuple[Request, object, float]] = {}
+        super().__init__(substrate, apps, efficiency, "NODERANK")
         self._ranks: dict[NodeId, float] | None = None
 
     def on_slot(self, t: int) -> None:
         """Simulator hook: invalidate the rank cache each slot."""
         self._ranks = None
 
-    def release(self, request: Request) -> None:
-        entry = self.active.pop(request.id, None)
-        if entry is None:
-            return
-        self.residual.release(entry[1])
-
     def _ranked_nodes(self) -> list[NodeId]:
         if self._ranks is None:
             self._ranks = compute_node_ranks(self.substrate, self.residual)
         return sorted(self._ranks, key=self._ranks.get, reverse=True)
 
-    def _embed(self, request: Request, app: Application) -> Embedding | None:
+    def _rank_embed(
+        self, request: Request, app: Application
+    ) -> Embedding | None:
         """Greedy rank-first node mapping + shortest-path link mapping."""
         ranked = self._ranked_nodes()
         node_map: dict[int, NodeId] = {ROOT_ID: request.ingress}
@@ -165,29 +156,14 @@ class NodeRankAlgorithm:
             link_paths[vlink.key] = path
         return Embedding(node_map=node_map, link_paths=link_paths)
 
-    def process(self, request: Request) -> Decision:
-        app = self.apps[request.app_index]
-        embedding = self._embed(request, app)
+    def _embed(
+        self, request: Request, app: Application
+    ) -> tuple[Embedding, ElementLoads] | None:
+        """The rank-first embedding, kept only if its joint loads fit."""
+        embedding = self._rank_embed(request, app)
         if embedding is None:
-            return Decision(request=request, accepted=False)
+            return None
         loads = compute_loads(
             app, request.demand, embedding, self.substrate, self.efficiency
         )
-        if not self.residual.fits(loads):
-            return Decision(request=request, accepted=False)
-        self.residual.allocate(loads)
-        cost = loads.cost_per_slot(self.substrate)
-        self.active[request.id] = (request, loads, cost)
-        return Decision(
-            request=request,
-            accepted=True,
-            via_greedy=True,
-            embedding=embedding,
-            cost_per_slot=cost,
-        )
-
-    def active_demand(self) -> float:
-        return sum(entry[0].demand for entry in self.active.values())
-
-    def active_cost_per_slot(self) -> float:
-        return sum(entry[2] for entry in self.active.values())
+        return (embedding, loads) if self.residual.fits(loads) else None

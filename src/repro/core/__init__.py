@@ -13,13 +13,16 @@ This package holds the online machinery shared by OLIVE and the baselines:
 * :mod:`repro.core.profile` — per-application static quantities
   (:class:`AppProfile`) and precompiled load recipes feeding the fast
   path;
+* :mod:`repro.core.ledger` — the residual-plus-active-allocation ledger
+  every per-request embedder shares (:class:`LedgerAlgorithm`);
 * :mod:`repro.core.olive` — Algorithm 2: planned embedding, borrowed
   partial-fit embedding, preemption, and greedy fallback.
 """
 
 from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.greedy import GreedyContext, greedy_embed
-from repro.core.olive import Decision, OliveAlgorithm
+from repro.core.ledger import Decision, LedgerAlgorithm
+from repro.core.olive import OliveAlgorithm
 from repro.core.profile import (
     AppProfile,
     AppProfileCache,
@@ -40,6 +43,7 @@ __all__ = [
     "AppProfileCache",
     "LoadsRecipe",
     "MemoizedEfficiency",
+    "LedgerAlgorithm",
     "OliveAlgorithm",
     "Decision",
 ]

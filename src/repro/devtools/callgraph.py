@@ -1004,7 +1004,9 @@ class ProjectGraph:
         type every registered embedder satisfies), and submitted task
         classes. Expanded transitively: ``self.attr = ProjectClass(...)``
         on a root makes ``ProjectClass`` a root too (its state rides the
-        same pickle).
+        same pickle), and so is every project subclass of a root (it
+        inherits the methods that made the base one, and adds state to
+        the same pickle).
         """
         roots: set[str] = set()
         for qualname, info in self.classes.items():
@@ -1020,12 +1022,19 @@ class ProjectGraph:
                 function = self.functions.get(entrypoint)
                 if function is not None and function.class_qualname:
                     roots.add(function.class_qualname)
+        subclasses: dict[str, list[str]] = {}
+        for qualname, info in self.classes.items():
+            for base in info.bases:
+                resolved = self._lookup_class(info.module, base)
+                if resolved is not None:
+                    subclasses.setdefault(resolved, []).append(qualname)
         frontier = deque(roots)
         while frontier:
             current = frontier.popleft()
             info = self.classes.get(current)
             if info is None:
                 continue
+            riders = list(subclasses.get(current, ()))
             for write in info.instance_writes:
                 if not isinstance(write.value, ast.Call):
                     continue
@@ -1035,9 +1044,12 @@ class ProjectGraph:
                 if candidate is None:
                     continue
                 held = self._lookup_class(info.module, candidate)
-                if held is not None and held not in roots:
-                    roots.add(held)
-                    frontier.append(held)
+                if held is not None:
+                    riders.append(held)
+            for rider in riders:
+                if rider not in roots:
+                    roots.add(rider)
+                    frontier.append(rider)
         return roots
 
     def functions_in(self, module: str) -> Iterator[FunctionInfo]:

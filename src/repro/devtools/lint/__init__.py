@@ -3,12 +3,11 @@
 A custom AST lint suite that statically enforces the reproducibility
 contract the dynamic harness checks end-to-end: no hash-order iteration,
 no global RNG, no wall-clock leakage into results, no capacity writes
-that bypass the dirty log, no unordered float accumulation, no frozen
+that skip the residual shift, no unordered float accumulation, no frozen
 record mutation. Run it as::
 
     python -m repro.devtools.lint src            # human output
     python -m repro.devtools.lint src --json     # machine output
-    python -m repro.devtools.lint src --baseline lint-baseline.json
 
 Full catalog, suppression workflow and rule-authoring guide:
 docs/ANALYSIS.md.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.lint.baseline import Baseline, partition_findings
 from repro.devtools.lint.framework import (
     FileContext,
     Finding,
@@ -34,7 +32,6 @@ from repro.devtools.lint.rules import ALL_RULES, default_rules, select_rules
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "FileContext",
     "Finding",
     "ImportTable",
@@ -55,18 +52,10 @@ def run_lint(
     paths: list[Path],
     *,
     rules: list[LintRule] | None = None,
-    baseline: Baseline | None = None,
     root: Path | None = None,
 ) -> LintReport:
     """Lint ``paths`` and assemble the report (the API the CLI/tests use)."""
     findings, files_scanned = lint_paths(
         paths, rules if rules is not None else default_rules(), root=root
     )
-    new, baselined, stale = partition_findings(findings, baseline)
-    return LintReport(
-        findings=findings,
-        files_scanned=files_scanned,
-        new=new,
-        baselined=baselined,
-        stale_baseline=stale,
-    )
+    return LintReport(findings=findings, files_scanned=files_scanned)

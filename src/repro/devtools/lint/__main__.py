@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.devtools.lint [paths] [options]``.
 
-Exit codes: 0 — clean (no new findings, no stale baseline entries);
-1 — new findings or stale baseline entries; 2 — usage/environment error.
+Exit codes: 0 — clean (no unsuppressed finding); 1 — findings;
+2 — usage/environment error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from pathlib import Path
 
 from repro.devtools.lint import (
     ALL_RULES,
-    Baseline,
     LintError,
     default_rules,
     run_lint,
@@ -54,21 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="JSON baseline of grandfathered findings; only new ones fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="include baselined findings in human output",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -91,32 +75,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.select
             else default_rules()
         )
-        if args.write_baseline and not args.baseline:
-            raise LintError("--write-baseline requires --baseline PATH")
-        baseline = None
-        baseline_path = Path(args.baseline) if args.baseline else None
-        if baseline_path is not None and baseline_path.exists() and not args.write_baseline:
-            baseline = Baseline.load(baseline_path)
         report = run_lint(
-            [Path(p) for p in args.paths],
-            rules=rules,
-            baseline=baseline,
-            root=Path.cwd(),
+            [Path(p) for p in args.paths], rules=rules, root=Path.cwd()
         )
     except LintError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        assert baseline_path is not None
-        Baseline.from_findings(
-            [f for f in report.findings if not f.suppressed]
-        ).write(baseline_path)
-        print(
-            f"wrote {baseline_path} with "
-            f"{sum(not f.suppressed for f in report.findings)} entry(ies)"
-        )
-        return 0
 
     output_format = "json" if args.json else args.output_format
     if output_format == "json":
@@ -124,11 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     elif output_format == "github":
         print(report.to_github())
     else:
-        text = report.to_human()
-        if args.show_baselined and report.baselined:
-            shown = "\n".join(f.format_human() for f in report.baselined)
-            text = f"{shown}\n{text}"
-        print(text)
+        print(report.to_human())
     return report.exit_code
 
 

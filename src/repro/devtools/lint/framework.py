@@ -54,8 +54,8 @@ class Finding:
     """One rule violation at one source location.
 
     ``context`` is the enclosing ``Class.function`` qualname (or
-    ``<module>``); it feeds the baseline fingerprint so findings survive
-    unrelated line drift.
+    ``<module>``); it feeds the fingerprint, so a finding keeps its
+    identity across unrelated line drift.
     """
 
     rule: str
@@ -69,7 +69,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (no line numbers)."""
+        """Stable identity of the finding (no line numbers)."""
         material = f"{self.rule}::{self.path}::{self.context}::{self.message}"
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 

@@ -7,13 +7,13 @@ suite both parse it; bump the version when a field changes meaning.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.devtools.lint.framework import Finding
 
 __all__ = ["LintReport", "JSON_SCHEMA_VERSION"]
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -22,9 +22,11 @@ class LintReport:
 
     findings: list[Finding]
     files_scanned: int
-    new: list[Finding]
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[str] = field(default_factory=list)
+
+    @property
+    def new(self) -> list[Finding]:
+        """The findings that fail the run: every unsuppressed one."""
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed(self) -> list[Finding]:
@@ -32,26 +34,14 @@ class LintReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.new or self.stale_baseline else 0
+        return 1 if self.new else 0
 
     def to_human(self) -> str:
         lines: list[str] = []
         for finding in self.new:
             lines.append(finding.format_human())
-        if self.baselined:
-            lines.append(
-                f"({len(self.baselined)} baselined finding(s) not shown; "
-                "run with --show-baselined or fix and shrink the baseline)"
-            )
-        for fingerprint in self.stale_baseline:
-            lines.append(
-                f"stale baseline entry {fingerprint}: the finding it "
-                "grandfathers no longer occurs — remove it "
-                "(--write-baseline rewrites the file)"
-            )
         summary = (
-            f"{self.files_scanned} file(s) scanned: "
-            f"{len(self.new)} new, {len(self.baselined)} baselined, "
+            f"{self.files_scanned} file(s) scanned: {len(self.new)} new, "
             f"{len(self.suppressed)} suppressed finding(s)"
         )
         lines.append(summary)
@@ -79,11 +69,9 @@ class LintReport:
             "files_scanned": self.files_scanned,
             "findings": [encode(f) for f in self.findings],
             "new": [f.fingerprint for f in self.new],
-            "stale_baseline": list(self.stale_baseline),
             "summary": {
                 "total": len(self.findings),
                 "new": len(self.new),
-                "baselined": len(self.baselined),
                 "suppressed": len(self.suppressed),
             },
         }
@@ -105,11 +93,6 @@ class LintReport:
             lines.append(
                 f"::error file={finding.path},line={finding.line},"
                 f"col={finding.col},title={finding.rule}::{message}"
-            )
-        for fingerprint in self.stale_baseline:
-            lines.append(
-                f"::error title=repro-lint::stale baseline entry "
-                f"{fingerprint} — remove it or rerun --write-baseline"
             )
         lines.append(self.to_human().rsplit("\n", 1)[-1])
         return "\n".join(lines)

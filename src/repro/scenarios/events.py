@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING
 
 from repro.core.residual import EPSILON
 from repro.errors import SimulationError
@@ -42,6 +42,7 @@ from repro.substrate.network import (
 from repro.workload.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ledger import LedgerAlgorithm
     from repro.core.residual import ResidualState
 
 #: Valid disruption policies for requests stranded by capacity events.
@@ -49,27 +50,6 @@ DISRUPTION_POLICIES = ("preempt", "reroute")
 
 #: ``("node"|"link", element, new_capacity)`` — one effective-capacity write.
 CapacityChange = tuple[str, object, float]
-
-
-class ResidualAlgorithm(Protocol):
-    """What the disruption resolver needs from an algorithm.
-
-    Structural contract shared by OLIVE/QUICKG/FULLG (and anything else
-    routing ``apply_events`` through :func:`apply_and_resolve`): explicit
-    residual bookkeeping plus release/reroute hooks. ``active_loads``
-    yields ``(request, loads)`` pairs in insertion order — identical
-    between the fast and reference engines, which is what keeps victim
-    selection bit-equivalent.
-    """
-
-    name: str
-    residual: Any
-
-    def active_loads(self) -> Any: ...
-
-    def release(self, request: Request) -> None: ...
-
-    def reroute(self, request: Request) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -554,13 +534,12 @@ def apply_capacity_events(
 
 
 def apply_and_resolve(
-    algorithm: ResidualAlgorithm, events: tuple[Event, ...], policy: str
+    algorithm: LedgerAlgorithm, events: tuple[Event, ...], policy: str
 ) -> list[Request]:
     """One slot's capacity events against a residual-tracking algorithm.
 
-    The single code path OLIVE (hence QUICKG/OLIVE-W/OLIVE-RE) and FULLG
-    route their ``apply_events`` through — mutate the residual, then
-    resolve whatever the cuts stranded. Returns the dropped requests.
+    What :meth:`LedgerAlgorithm.apply_events` is — mutate the residual,
+    then resolve whatever the cuts stranded. Returns the dropped requests.
     """
     if not apply_capacity_events(algorithm.residual, events):
         return []
@@ -568,7 +547,7 @@ def apply_and_resolve(
 
 
 def resolve_disruptions(
-    algorithm: ResidualAlgorithm, policy: str
+    algorithm: LedgerAlgorithm, policy: str
 ) -> list[Request]:
     """Resolve allocations stranded by a capacity cut, deterministically.
 
@@ -580,8 +559,10 @@ def resolve_disruptions(
     greedy re-embedding attempt against the degraded substrate, in
     release order; only requests that no longer fit anywhere are dropped.
 
-    The algorithm must expose ``residual``, ``active_loads()``,
-    ``release(request)`` and (for reroute) ``reroute(request) -> bool``.
+    Duck-typed: any algorithm exposing ``residual``, ``active_loads()``
+    (``(request, loads)`` pairs in allocation order), ``release(request)``
+    and, for reroute, ``reroute(request) -> bool`` — the base class has all
+    four — may pass itself here.
 
     One forward pass suffices: releases only *return* capacity, so the
     overloaded set monotonically shrinks and an allocation skipped once
@@ -666,7 +647,7 @@ def substrate_with_capacities(
     return SubstrateNetwork(name=substrate.name, nodes=nodes, links=links)
 
 
-def capacity_invariant_gap(algorithm: ResidualAlgorithm) -> float:
+def capacity_invariant_gap(algorithm: LedgerAlgorithm) -> float:
     """max |residual + Σ active loads − effective capacity| over elements.
 
     The capacity invariant every residual-tracking algorithm must keep;
@@ -682,22 +663,10 @@ def capacity_invariant_gap(algorithm: ResidualAlgorithm) -> float:
         for link, load in loads.links.items():
             link_used[index.link_index[link]] += load
     gap = 0.0
-    for i in range(index.num_nodes):
-        gap = max(
-            gap,
-            abs(
-                residual.node_residual[i]
-                + node_used[i]
-                - residual.node_capacity[i]
-            ),
-        )
-    for i in range(index.num_links):
-        gap = max(
-            gap,
-            abs(
-                residual.link_residual[i]
-                + link_used[i]
-                - residual.link_capacity[i]
-            ),
-        )
+    for left, used, capacity in (
+        (residual.node_residual, node_used, residual.node_capacity),
+        (residual.link_residual, link_used, residual.link_capacity),
+    ):
+        for r, u, c in zip(left, used, capacity):
+            gap = max(gap, abs(r + u - c))
     return gap

@@ -277,16 +277,13 @@ class ShardedEmbedderService:
                 self.partition.shard_of(request.ingress), []
             ).append(index)
         involved = sorted(by_shard)
-        for shard in involved:
-            self._workers[shard].send(
-                "offer_run", [run[i] for i in by_shard[shard]]
-            )
-            self._offered_in_slot.add(shard)
+        replies = self._exchange([
+            (shard, "offer_run", ([run[i] for i in by_shard[shard]],))
+            for shard in involved
+        ])
         decisions: list[Decision | None] = [None] * len(run)
-        for shard in involved:
-            for index, decision in zip(
-                by_shard[shard], self._workers[shard].recv()
-            ):
+        for shard, reply in zip(involved, replies):
+            for index, decision in zip(by_shard[shard], reply):
                 decisions[index] = decision
 
         # Phase: two-phase cross-shard resolve, in offer order.
@@ -357,9 +354,7 @@ class ShardedEmbedderService:
                 duration=request.duration,
             )
             self._cross_attempts += 1
-            self._workers[remote].send("offer_run", [twin])
-            self._offered_in_slot.add(remote)
-            outcome = self._workers[remote].recv()[0]
+            outcome = self._exchange([(remote, "offer_run", ([twin],))])[0][0]
             if outcome.accepted:
                 if token is not None:
                     self.ledger.commit(token, request.departure)
@@ -517,25 +512,35 @@ class ShardedEmbedderService:
         self.close()
 
     def _broadcast(self, command: str, *args: Any) -> list[Any]:
-        """Send ``command`` to every worker, then read every reply.
+        """``command`` to every worker; the replies, in shard order."""
+        return self._exchange(
+            [(shard, command, args) for shard in range(self.num_shards)]
+        )
 
-        Sending first and collecting afterwards is what lets process
-        workers overlap. Every worker that took the command is read
-        before anything is raised — a reply left in a pipe (or in an
-        inline worker's queue) would be taken for the answer to the
-        *next* command, and so would every one after it. A worker that
-        refuses the send ends the sending; then the first failure, in
-        shard order, is raised.
+    def _exchange(self, calls: list[tuple[int, str, tuple]]) -> list[Any]:
+        """Send each ``(shard, command, args)``, then read every reply.
+
+        The one way the frontend talks to workers. Sending first and
+        collecting afterwards is what lets process workers overlap. Every
+        worker that took its command is read before anything is raised —
+        a reply left in a pipe (or in an inline worker's queue) would be
+        taken for the answer to the *next* command, and so would every
+        one after it. A worker that refuses the send ends the sending;
+        then the first failure, in call order, is raised. A shard that
+        took an ``offer_run`` has offers in the open slot from then on.
         """
         refused: list[Exception] = []
         sent = []
-        for worker in self._workers:
+        for shard, command, args in calls:
+            worker = self._workers[shard]
             try:
                 worker.send(command, *args)
             except Exception as error:  # raised below, after the reads
                 refused.append(error)
                 break
             sent.append(worker)
+            if command == "offer_run":
+                self._offered_in_slot.add(shard)
         replies: list[Any] = []
         failed: list[Exception] = []
         for worker in sent:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.callgraph import ProjectGraph
+from repro.devtools.lint import run_lint, select_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -202,6 +203,32 @@ class TestModuleState:
         assert "pkg.alg.Embedder" in roots
         assert "pkg.alg.Helper" not in roots, "process alone is not the duck"
 
+    def test_project_subclass_of_a_root_is_a_root(self, tmp_path):
+        """A subclass that overrides nothing has no method of its own
+        to duck-type on; it is still pickled, with the state it adds."""
+        graph = build(tmp_path, {
+            "pkg/alg.py": (
+                "class Embedder:\n"
+                "    def process(self, request):\n        return request\n"
+                "    def release(self, request):\n        return None\n"
+            ),
+            "pkg/ext.py": (
+                "from pkg.alg import Embedder\n"
+                "class Cache:\n"
+                "    def __init__(self):\n        self.rows = {}\n"
+                "class Windowed(Embedder):\n"
+                "    def __init__(self):\n        self.cache = Cache()\n"
+                "class Nested(Windowed):\n"
+                "    def on_slot(self, t):\n        return None\n"
+                "class Unrelated:\n"
+                "    def on_slot(self, t):\n        return None\n"
+            ),
+        })
+        roots = graph.pickle_roots()
+        assert {"pkg.ext.Windowed", "pkg.ext.Nested"} <= roots
+        assert "pkg.ext.Cache" in roots, "a subclass's held state rides too"
+        assert "pkg.ext.Unrelated" not in roots
+
 
 # -- regression anchors over the shipped tree ---------------------------------
 
@@ -221,6 +248,27 @@ class TestShippedTree:
         assert "repro.sim.session.SimulationSession" in (
             src_graph.pickle_roots()
         )
+
+    def test_every_shipped_algorithm_is_a_pickle_root(self, src_graph):
+        """OLIVE-W / OLIVE-RE override no ledger method and FULLG /
+        NODERANK define only the embed step: they are roots because
+        their base is, and RPS101 / RPS103 find nothing on them — not
+        even something suppressed."""
+        assert {
+            "repro.core.ledger.LedgerAlgorithm",
+            "repro.core.olive.OliveAlgorithm",
+            "repro.plan.windowed.WindowedOliveAlgorithm",
+            "repro.plan.replanning.ReplanningOliveAlgorithm",
+            "repro.baselines.fullg.FullGAlgorithm",
+            "repro.baselines.noderank.NodeRankAlgorithm",
+            "repro.baselines.slotoff.SlotOffAlgorithm",
+        } <= src_graph.pickle_roots()
+        report = run_lint(
+            [REPO_ROOT / "src"],
+            rules=select_rules(["RPS101", "RPS103"]),
+            root=REPO_ROOT,
+        )
+        assert report.findings == []
 
     def test_runner_is_the_pool_defining_module(self, src_graph):
         runner = src_graph.modules["repro.sim.runner"]

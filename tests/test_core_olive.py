@@ -207,7 +207,9 @@ class TestCheckpoint:
         second = olive.__getstate__()["active"]
         assert [pickle.loads(row)[0].id for row, _, _ in second] == [1, 3, 4]
         assert second[0][0] is first[0][0] and second[1][0] is first[2][0]
-        assert list(olive._sealed_allocations) == [1, 3, 4]
+        assert [a.sealed for a in olive.active.values()] == [
+            row for row, _, _ in second
+        ]
 
         restored = pickle.loads(pickle.dumps(olive))
         assert restored.active == olive.active

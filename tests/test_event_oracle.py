@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.api import resolve_events
+from repro.baselines.noderank import NodeRankAlgorithm
 from repro.baselines.quickg import make_quickg
 from repro.core.olive import OliveAlgorithm
 from repro.experiments.config import ExperimentConfig
@@ -47,6 +48,7 @@ from repro.scenarios.events import (
     LinkRecovery,
     NodeDrain,
     NodeRestore,
+    capacity_invariant_gap,
 )
 from repro.sim.engine import simulate
 from repro.sim.session import SessionSnapshot, SimulationSession
@@ -360,6 +362,43 @@ class TestSessionOracle:
         _check_step_and_restore(algorithm, profile)
 
 
+    def test_noderank_reroutes_and_restores_under_link_flap(self):
+        """What NODERANK inherits from the ledger rather than writes:
+        capacity events, rerouting of what they strand, the invariant
+        audit, and a checkpoint a restored session continues from."""
+        scenario = _session_scenario(None)
+        slots = scenario.config.online_slots
+        schedule = resolve_events("link-flap", scenario, 21, "reroute")
+
+        def noderank():
+            return NodeRankAlgorithm(
+                scenario.substrate, scenario.apps, scenario.efficiency
+            )
+
+        session = SimulationSession(
+            noderank(), scenario.online_requests(), slots, events=schedule
+        )
+        gaps = []
+        for t in range(slots):
+            session.step()
+            gaps.append(capacity_invariant_gap(session.algorithm))
+            if t + 1 == slots // 2:
+                snapshot = session.snapshot()
+        assert max(gaps) == pytest.approx(0.0, abs=1e-6)
+        undisturbed = session.result()
+        assert undisturbed.num_events > 0
+
+        resumed = SimulationSession.restore(snapshot)
+        assert resumed.clock == slots // 2
+        resumed.run_until(slots)
+        _assert_session_identical(resumed.result(), undisturbed)
+        assert capacity_invariant_gap(resumed.algorithm) == gaps[-1]
+        batch = simulate(
+            noderank(), scenario.online_requests(), slots, events=schedule
+        )
+        _assert_session_identical(undisturbed, batch)
+
+
 class TestSnapshotPickleRoundTrip:
     """Serialized checkpoints, all algorithms × profiles, bit-identical.
 
@@ -450,3 +489,58 @@ class TestSnapshotPayload:
         # Nothing derived leaks back in through a restore either.
         again = SimulationSession.restore(snapshot).snapshot().to_bytes()
         assert abs(len(again) - len(payload)) <= 0.01 * len(payload)
+
+    def test_fullg_allocation_bytes_are_produced_once(self):
+        """Three consecutive checkpoints of a FULLG session: a row that
+        stays carries the same bytes object through all of them; an id
+        the link failure in between rerouted is a new row, pickled
+        afresh with its new embedding."""
+        scenario = _session_scenario("FULLG")
+        slots = scenario.config.online_slots
+        online = scenario.online_requests()
+
+        probe = SimulationSession(
+            make_algorithm("FULLG", scenario), online, slots
+        )
+        probe.run_until(4)
+        link = next(
+            link for a in probe.algorithm.active.values()
+            if a.request.departure > 6 for link in a.loads.links
+        )
+        schedule = EventSchedule(
+            [LinkFailure(slot=5, link=link)], policy="reroute"
+        )
+
+        session = SimulationSession(
+            make_algorithm("FULLG", scenario), online, slots, events=schedule
+        )
+        algorithm = session.algorithm
+        session.run_until(4)
+        seen: list[dict[int, tuple]] = []
+        for _ in range(3):  # boundaries 4, 5 and — after the failure — 6
+            session.snapshot()
+            seen.append({
+                rid: (row, row.sealed)
+                for rid, row in algorithm.active.items()
+            })
+            assert all(sealed is not None for _, sealed in seen[-1].values())
+            session.step()
+
+        first, second, third = seen
+        stayed = [rid for rid in first if rid in second]
+        assert stayed
+        assert all(second[rid][1] is first[rid][1] for rid in stayed)
+        rerouted = [
+            rid for rid in second
+            if rid in third and third[rid][0] is not second[rid][0]
+        ]
+        assert rerouted, "the failed link carried an active allocation"
+        for rid in rerouted:
+            assert link in second[rid][0].loads.links
+            assert third[rid][1] is not second[rid][1]
+            assert link not in pickle.loads(third[rid][1])[2].links
+        kept = [
+            rid for rid in second if rid in third and rid not in rerouted
+        ]
+        assert kept
+        assert all(third[rid][1] is second[rid][1] for rid in kept)

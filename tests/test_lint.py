@@ -3,7 +3,7 @@
 Three layers:
 
 * unit tests for the framework (import resolution, scope inference,
-  suppression parsing, baseline semantics, report formats, exit codes);
+  suppression parsing, report formats, exit codes);
 * a corpus replay — every file under ``tests/lint_corpus/`` declares the
   findings it expects in an ``EXPECTED`` map, including a reconstruction
   of the real pre-PR-3 ``split_gpu_datacenters`` set-iteration bug;
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.lint import (
-    Baseline,
     LintError,
     default_rules,
     lint_file,
@@ -62,10 +61,6 @@ class TestSourceTreeIsClean:
         assert report.suppressed, "expected documented suppressions in src"
         for finding in report.suppressed:
             assert len(finding.suppress_reason) >= 10, finding.format_human()
-
-    def test_shipped_baseline_is_empty(self):
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        assert not baseline.counts
 
     def test_src_is_rps_clean(self):
         """The parallel-safety family alone certifies the shipped tree.
@@ -327,10 +322,10 @@ class TestSuppressions:
         assert len([f for f in findings if f.suppressed]) == 2
 
 
-# -- baseline semantics -------------------------------------------------------
+# -- report formats and fingerprints -----------------------------------------
 
 
-BASELINE_SOURCE = (
+TWO_FINDINGS_SOURCE = (
     "import time\n"
     "def f(s: set):\n"
     "    return list(s)\n"
@@ -339,84 +334,17 @@ BASELINE_SOURCE = (
 )
 
 
-class TestBaseline:
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(BASELINE_SOURCE, encoding="utf-8")
-        first = run_lint([path])
-        assert len(first.new) == 2
-        baseline = Baseline.from_findings(first.new)
-        second = run_lint([path], baseline=baseline)
-        assert second.new == []
-        assert len(second.baselined) == 2
-        assert second.exit_code == 0
-
-    def test_new_finding_still_fails(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(BASELINE_SOURCE, encoding="utf-8")
-        baseline = Baseline.from_findings(run_lint([path]).new)
-        path.write_text(
-            BASELINE_SOURCE + "def h(q: set):\n    return tuple(q)\n",
-            encoding="utf-8",
-        )
-        report = run_lint([path], baseline=baseline)
-        assert len(report.new) == 1
-        assert report.new[0].context == "h"
-        assert report.exit_code == 1
-
-    def test_fixed_finding_goes_stale(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(BASELINE_SOURCE, encoding="utf-8")
-        baseline = Baseline.from_findings(run_lint([path]).new)
-        path.write_text(  # fix g(): drop the wall-clock read
-            "def f(s: set):\n    return list(s)\n", encoding="utf-8"
-        )
-        report = run_lint([path], baseline=baseline)
-        assert report.new == []
-        assert len(report.stale_baseline) == 1
-        assert report.exit_code == 1, "stale entries must force a ratchet"
-
-    def test_duplicate_findings_are_counted(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "def f(s: set):\n    return list(s), list(s)\n", encoding="utf-8"
-        )
-        first = run_lint([path])
-        assert len(first.new) == 2
-        baseline = Baseline.from_findings(first.new[:1])
-        report = run_lint([path], baseline=baseline)
-        assert len(report.new) == 1, "one slot cannot absorb two findings"
-
-    def test_round_trip_through_disk(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(BASELINE_SOURCE, encoding="utf-8")
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(run_lint([path]).new).write(baseline_path)
-        loaded = Baseline.load(baseline_path)
-        report = run_lint([path], baseline=loaded)
-        assert report.new == [] and report.exit_code == 0
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99, "findings": []}', encoding="utf-8")
-        with pytest.raises(LintError, match="version"):
-            Baseline.load(bad)
-
-
-# -- report formats and fingerprints -----------------------------------------
-
-
 class TestReports:
     def test_json_schema(self, tmp_path):
         path = tmp_path / "mod.py"
-        path.write_text(BASELINE_SOURCE, encoding="utf-8")
+        path.write_text(TWO_FINDINGS_SOURCE, encoding="utf-8")
         report = run_lint([path])
         payload = json.loads(report.to_json())
         assert payload["schema_version"] == JSON_SCHEMA_VERSION
         assert payload["tool"] == "repro-lint"
         assert payload["files_scanned"] == 1
         assert payload["summary"] == {
-            "total": 2, "new": 2, "baselined": 0, "suppressed": 0,
+            "total": 2, "new": 2, "suppressed": 0,
         }
         for entry in payload["findings"]:
             assert set(entry) >= {
@@ -517,22 +445,6 @@ class TestCli:
         assert lint_main([str(tmp_path), "--select", "RPS"]) == 1
         out = capsys.readouterr().out
         assert "RPS104" in out and "RPR" not in out
-
-    def test_write_then_check_baseline(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(
-            "def f(s: set):\n    return list(s)\n", encoding="utf-8"
-        )
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(
-            [str(tmp_path), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert lint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_write_baseline_requires_path(self, capsys):
-        assert lint_main(["--write-baseline"]) == 2
 
 
 # -- framework edge cases -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Property tests: per-slot accounting invariants on real scenarios.
 
 Two invariants must hold after *every* slot, for every algorithm built on
-the OLIVE allocation machinery (OLIVE, QUICKG, OLIVE-W):
+the shared ledger (OLIVE, QUICKG, OLIVE-W, FULLG, NODERANK):
 
 1. ``allocated_demand[t]`` equals the summed demand of the requests
    active at ``t`` — accepted at arrival, not yet departed, and not
@@ -11,6 +11,9 @@ the OLIVE allocation machinery (OLIVE, QUICKG, OLIVE-W):
    allocations equals capacity on every node and link — the incremental
    bookkeeping (and its indexed-list backend) never drifts from the
    ground truth.
+
+A third is checked once per algorithm: an id offered again while it is
+still active is refused and books nothing.
 
 Unlike ``test_property_olive.py`` (hand-built substrates, synthetic
 request streams), these run the full scenario pipeline — topology, MMPP
@@ -24,10 +27,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.noderank import NodeRankAlgorithm
 from repro.core.embedding import compute_loads
+from repro.errors import SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import build_scenario, make_algorithm
+from repro.scenarios.events import capacity_invariant_gap
+from repro.serve import EmbedderService
 from repro.sim.engine import simulate
+from repro.sim.session import SimulationSession
 
 # OLIVE-W recomputes a windowed plan schedule per hypothesis example,
 # pushing its parametrizations past the 10 s line — they move to the
@@ -36,6 +44,8 @@ ALGORITHMS = (
     "OLIVE",
     "QUICKG",
     pytest.param("OLIVE-W", marks=pytest.mark.slow),
+    "FULLG",
+    "NODERANK",
 )
 
 #: Small enough that one scenario builds in well under a second.
@@ -54,6 +64,14 @@ def _scenario(seed: int, utilization: float):
             _CONFIG.with_(utilization=utilization), seed
         )
     return _scenarios[key]
+
+
+def _build(algorithm: str, scenario):
+    if algorithm == "NODERANK":  # an extra comparison point, not registered
+        return NodeRankAlgorithm(
+            scenario.substrate, scenario.apps, scenario.efficiency
+        )
+    return make_algorithm(algorithm, scenario)
 
 
 def _expected_allocated(result) -> np.ndarray:
@@ -85,7 +103,7 @@ def test_allocated_demand_matches_active_requests(
 ):
     scenario = _scenario(seed, utilization)
     result = simulate(
-        make_algorithm(algorithm, scenario),
+        _build(algorithm, scenario),
         scenario.online_requests(),
         scenario.config.online_slots,
     )
@@ -106,7 +124,7 @@ def test_allocated_demand_matches_active_requests(
 )
 def test_residual_plus_active_loads_is_capacity(algorithm, seed, utilization):
     scenario = _scenario(seed, utilization)
-    alg = make_algorithm(algorithm, scenario)
+    alg = _build(algorithm, scenario)
     substrate = scenario.substrate
     requests = scenario.online_requests()
     by_arrival: dict[int, list] = {}
@@ -152,3 +170,45 @@ def test_residual_plus_active_loads_is_capacity(algorithm, seed, utilization):
             assert alg.residual.links[link] == pytest.approx(
                 expected, abs=1e-6 * max(1.0, abs(expected))
             ), (algorithm, t, link)
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["OLIVE", "QUICKG", "FULLG", "OLIVE-W", "OLIVE-RE", "NODERANK"]
+)
+def test_reoffered_active_id_is_refused_and_books_nothing(algorithm):
+    """A second ``process()`` of an id that is still active raises and
+    changes nothing: the one ``release()`` returns all of its capacity.
+    The same through the service's ``offer()``."""
+    scenario = _scenario(0, 1.0)
+    slots = scenario.config.online_slots
+    request = next(
+        r for r in scenario.online_requests() if r.departure < slots
+    )
+
+    alg = _build(algorithm, scenario)
+    assert alg.process(request).accepted
+    booked = (
+        list(alg.residual.node_residual), list(alg.residual.link_residual)
+    )
+    with pytest.raises(SimulationError, match="processed twice"):
+        alg.process(request)
+    assert list(alg.active) == [request.id]
+    assert booked == (
+        list(alg.residual.node_residual), list(alg.residual.link_residual)
+    )
+    assert capacity_invariant_gap(alg) == 0
+    alg.release(request)
+    assert not alg.active and alg.active_demand() == 0
+    assert capacity_invariant_gap(alg) == 0
+
+    service = EmbedderService(
+        SimulationSession(_build(algorithm, scenario), (), slots)
+    )
+    assert service.offer(request).accepted
+    with pytest.raises(SimulationError, match="processed twice"):
+        service.offer(request)
+    assert capacity_invariant_gap(service.algorithm) == 0
+    service.advance_to(request.departure + 1)
+    assert [d.request for d in service.result().decisions] == [request]
+    assert not service.algorithm.active
+    assert capacity_invariant_gap(service.algorithm) == 0

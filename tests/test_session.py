@@ -404,11 +404,8 @@ class TestSnapshot:
             )
             segments = list(now)
 
-            rows = {
-                rid: row for rid, (_, row)
-                in algorithm._sealed_allocations.items()
-            }
-            assert list(rows) == list(algorithm.active)
+            rows = {rid: a.sealed for rid, a in algorithm.active.items()}
+            assert None not in rows.values()
             accepted = {d.request.id for d in report.decisions if d.accepted}
             assert {
                 rid for rid, row in rows.items() if row is not sealed.get(rid)

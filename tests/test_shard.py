@@ -25,6 +25,7 @@ from repro.shard import (
     partition_substrate,
     restrict_plan,
 )
+from repro.shard.worker import read_checkpoint
 from repro.sim.session import SessionSnapshot, SimulationSession
 from repro.substrate import make_citta_studi
 from repro.utils.rng import child_rng, make_rng
@@ -549,6 +550,50 @@ class TestFailover:
             assert getattr(metrics, counter) == getattr(
                 expected_metrics, counter
             ), counter
+
+    @pytest.mark.parametrize(
+        "workers, raising",
+        [("inline", 1), ("inline", 0), ("process", 0), ("process", 1)],
+    )
+    def test_failed_sub_batch_leaves_no_reply_behind(self, workers, raising):
+        """One shard's sub-batch raises mid-``offer_many`` (an id offered
+        again while still active). Every shard that took its sub-batch
+        is read before the error is raised, so the commands after it —
+        metrics, checkpoint, the next offer — get their own answers."""
+        service = (
+            Experiment(_config())
+            .algorithms("QUICKG")
+            .serve(seed=3, shards=2, shard_workers=workers)
+        )
+        with service:
+            def request(rid: int, shard: int) -> Request:
+                return Request(
+                    arrival=0, id=rid, app_index=0, demand=1.0, duration=3,
+                    ingress=service.partition.shards[shard].nodes[0],
+                )
+
+            with pytest.raises(
+                (ShardError, SimulationError), match="processed twice"
+            ):
+                service.offer_many([
+                    request(1, 0), request(2, 1),
+                    request(3, raising), request(3, raising),
+                ])
+            # The failed sub-batch records nothing; the other shard's
+            # one offer counts, unless an inline shard 0 raised before
+            # shard 1 was sent anything.
+            took = 0 if (workers, raising) == ("inline", 0) else 1
+            assert service.metrics().offers == took
+            service.advance_to(1)
+            service.checkpoint_workers()
+            for shard, payload in enumerate(service._checkpoints):
+                assert read_checkpoint(shard, payload).clock == 1
+            for shard in (0, 1):
+                decision = service.offer(
+                    dataclasses.replace(request(10 + shard, shard), arrival=1)
+                )
+                assert decision.request.id == 10 + shard
+            assert service.metrics().offers == took + 2
 
     def test_restore_guards(self):
         config = _config()
