@@ -3,7 +3,7 @@
 The linter is a set of small AST rules sharing one analysis substrate:
 
 * :class:`FileContext` — one parsed file plus everything a rule may need
-  (source lines, module name, import table, suppression comments).
+  (source lines, import table, suppression comments).
 * :class:`ImportTable` — resolves local names to their fully-qualified
   origins (``from time import perf_counter as pc`` makes ``pc()`` resolve
   to ``time.perf_counter``), including dotted attribute chains through
@@ -39,7 +39,6 @@ __all__ = [
     "LintError",
     "LintRule",
     "ScopedVisitor",
-    "lint_context",
     "lint_file",
     "lint_paths",
 ]
@@ -133,7 +132,6 @@ class FileContext:
     tree: ast.Module
     imports: ImportTable
     suppressions: dict[int, Suppression]
-    module: str = ""
 
     @classmethod
     def parse(cls, path: Path, display_path: str | None = None) -> "FileContext":
@@ -156,26 +154,11 @@ class FileContext:
             tree=tree,
             imports=imports,
             suppressions=parse_suppressions(source),
-            module=_module_name(path),
         )
 
     def in_module(self, suffix: str) -> bool:
         """Whether this file is the owning module ``suffix`` (posix path)."""
         return self.path.as_posix().endswith(suffix)
-
-
-def _module_name(path: Path) -> str:
-    """Dotted module name, rooted at the innermost ``src`` or package dir."""
-    parts = list(path.with_suffix("").parts)
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    elif "repro" in parts:
-        parts = parts[parts.index("repro") :]
-    else:
-        parts = parts[-1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
 
 
 #: Expressions that *produce* an unordered container, syntactically.
@@ -345,21 +328,10 @@ def _annotation_kind(annotation: ast.expr) -> str | None:
 
 
 class LintRule:
-    """Base class for one determinism rule.
-
-    Rules that need whole-project context (the interprocedural RPS
-    family) set ``requires_project = True`` and implement ``bind``;
-    :func:`lint_paths` builds one project call graph per run and hands
-    it to every such rule before any file is checked. Intra-file rules
-    ignore both hooks.
-    """
+    """Base class for one determinism rule."""
 
     rule_id: str = "RPR000"
     summary: str = ""
-    requires_project: bool = False
-
-    def bind(self, project: object) -> None:
-        """Receive the project call graph (project rules override)."""
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -395,18 +367,9 @@ def lint_file(
 
     Suppressed findings are *returned* (marked ``suppressed=True``) so
     reports can show the inventory; meta-findings are appended for
-    malformed (RPR900) and unused (RPR901) ``allow`` comments. Project
-    rules used through this single-file API analyze the file as a
-    one-module project (the corpus fixtures rely on this).
+    malformed (RPR900) and unused (RPR901) ``allow`` comments.
     """
-    return lint_context(FileContext.parse(path, display_path), rules)
-
-
-def lint_context(
-    context: FileContext,
-    rules: Iterable[LintRule],
-) -> list[Finding]:
-    """Run ``rules`` over an already-parsed file (see :func:`lint_file`)."""
+    context = FileContext.parse(path, display_path)
     rules = list(rules)
     active_ids = {rule.rule_id for rule in rules}
     findings: list[Finding] = []
@@ -487,15 +450,10 @@ def lint_paths(
     rules: Iterable[LintRule],
     root: Path | None = None,
 ) -> tuple[list[Finding], int]:
-    """Lint every ``.py`` under ``paths``; returns (findings, files_scanned).
-
-    All files are parsed up front so that project rules (RPS family) can
-    be bound to one call graph spanning the whole run — interprocedural
-    facts like "reachable from a worker entrypoint" need every module,
-    not the one currently being checked.
-    """
+    """Lint every ``.py`` under ``paths``; returns (findings, files_scanned)."""
     rules = list(rules)
-    contexts: list[FileContext] = []
+    findings: list[Finding] = []
+    files_scanned = 0
     for file_path in iter_python_files(paths):
         display = file_path
         if root is not None:
@@ -503,16 +461,6 @@ def lint_paths(
                 display = file_path.relative_to(root)
             except ValueError:
                 display = file_path
-        contexts.append(FileContext.parse(file_path, display.as_posix()))
-    project_rules = [rule for rule in rules if rule.requires_project]
-    if project_rules:
-        # Imported lazily: callgraph imports this module's FileContext.
-        from repro.devtools.callgraph import ProjectGraph
-
-        project = ProjectGraph.from_contexts(contexts)
-        for rule in project_rules:
-            rule.bind(project)
-    findings: list[Finding] = []
-    for context in contexts:
-        findings.extend(lint_context(context, rules))
-    return findings, len(contexts)
+        findings.extend(lint_file(file_path, rules, display.as_posix()))
+        files_scanned += 1
+    return findings, files_scanned

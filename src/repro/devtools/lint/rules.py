@@ -1,4 +1,4 @@
-"""The determinism rule catalog (RPR001–RPR006).
+"""The determinism rule catalog (RPR001–RPR006, RPS104).
 
 Each rule codifies one invariant the dynamic test harness (goldens,
 fast-vs-reference oracle, jobs=1 ≡ jobs=N, session ≡ batch) relies on but
@@ -21,11 +21,14 @@ RPR005    ``sum()`` over unordered containers (float reassociation
           breaks bit-identity)
 RPR006    mutation of frozen dataclasses / registry internals outside
           their owning module
+RPS104    registry mutation at call time (registration outside module
+          import scope) — worker processes replay imports, not calls,
+          so late registrations exist in some processes and not others
 ========  ==============================================================
 
-The interprocedural RPS101–RPS104 family (worker/pickle boundary
-certification, built on :mod:`repro.devtools.callgraph`) lives in
-:mod:`repro.devtools.lint.parallel_rules` and joins ``ALL_RULES`` here.
+What crosses the worker and checkpoint boundaries is audited on the live
+objects instead (``tests/test_event_oracle.py::TestSnapshotPayload``,
+``tests/test_parallel_runner.py::TestWorkerModuleState``).
 """
 
 from __future__ import annotations
@@ -40,12 +43,6 @@ from repro.devtools.lint.framework import (
     LintRule,
     ScopedVisitor,
 )
-from repro.devtools.lint.parallel_rules import (
-    RuleCallTimeRegistration,
-    RuleParallelUnpicklable,
-    RuleSnapshotStaleState,
-    RuleWorkerGlobalMutation,
-)
 
 __all__ = [
     "ALL_RULES",
@@ -55,9 +52,6 @@ __all__ = [
     "RuleCapacityWrite",
     "RuleUnorderedSum",
     "RuleFrozenMutation",
-    "RuleParallelUnpicklable",
-    "RuleWorkerGlobalMutation",
-    "RuleSnapshotStaleState",
     "RuleCallTimeRegistration",
     "default_rules",
     "select_rules",
@@ -431,6 +425,86 @@ class RuleFrozenMutation(LintRule):
         yield from _run_visitor(self, context, _FrozenMutationVisitor)
 
 
+# -- RPS104 -------------------------------------------------------------------
+
+
+class _RegistryMutationVisitor(_CollectingVisitor):
+    """Flags registry registration/unregistration inside function bodies.
+
+    Decorators on module- or class-level defs run at import time and are
+    the sanctioned registration path; the visitor therefore inspects a
+    def's decorators *before* entering its scope, so only genuinely
+    call-time mutation (inside a function body) is flagged.
+    """
+
+    def __init__(self, rule: LintRule, context: FileContext) -> None:
+        super().__init__(rule, context)
+        self._depth = 0
+
+    def _visit_scope(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+    ) -> None:
+        for decorator in node.decorator_list:
+            self.visit(decorator)
+        is_function = not isinstance(node, ast.ClassDef)
+        self._enter(node.name)
+        self._depth += is_function
+        try:
+            for statement in node.body:
+                self.visit(statement)
+        finally:
+            self._depth -= is_function
+            self._leave()
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if self._depth > 0:
+            verb = self._registry_mutation(node)
+            if verb is not None:
+                self.emit(
+                    node,
+                    f"registry {verb} at call time — worker processes "
+                    "and restored sessions replay module imports, not "
+                    "call sequences, so a registration made inside a "
+                    "function exists in some processes and not "
+                    "others; register at module import scope (the "
+                    "decorator form), or unregister in the same "
+                    "test-local finally block that registered",
+                )
+        self.generic_visit(node)
+
+    def _registry_mutation(self, node: ast.Call) -> str | None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in (
+            "register",
+            "unregister",
+        ):
+            receiver = self.context.imports.qualify(func.value)
+            if receiver is not None and "registry" in receiver.lower():
+                return f"{func.attr}() call"
+            return None
+        qual = self.context.imports.qualify(func)
+        if qual is None:
+            return None
+        tail = qual.rsplit(".", 1)[-1]
+        if tail.startswith("register_"):
+            return f"{tail}() call"
+        return None
+
+
+class RuleCallTimeRegistration(LintRule):
+    rule_id = "RPS104"
+    summary = (
+        "registry mutation at call time (registration outside module "
+        "import scope) — processes replay imports, not calls, so late "
+        "registrations diverge across workers"
+    )
+
+    def check(self, context: FileContext) -> Iterator[Finding]:
+        if context.in_module("repro/registry.py"):
+            return  # the owning module defines the registration machinery
+        yield from _run_visitor(self, context, _RegistryMutationVisitor)
+
+
 ALL_RULES: tuple[type[LintRule], ...] = (
     RuleSetIteration,
     RuleGlobalRng,
@@ -438,9 +512,6 @@ ALL_RULES: tuple[type[LintRule], ...] = (
     RuleCapacityWrite,
     RuleUnorderedSum,
     RuleFrozenMutation,
-    RuleParallelUnpicklable,
-    RuleWorkerGlobalMutation,
-    RuleSnapshotStaleState,
     RuleCallTimeRegistration,
 )
 
@@ -453,8 +524,8 @@ def select_rules(ids: Iterable[str]) -> list[LintRule]:
     """Instantiate the rules named by ``ids``.
 
     A token is either an exact rule id (``RPR001``) or a family prefix
-    selecting every rule that starts with it (``RPS`` → RPS101–RPS104,
-    ``RPR`` → the intra-file determinism catalog).
+    selecting every rule that starts with it (``RPR`` → RPR001–RPR006,
+    ``RPS`` → RPS104).
     """
     wanted = {rule_id.strip().upper() for rule_id in ids if rule_id.strip()}
     known = {rule.rule_id: rule for rule in ALL_RULES}

@@ -23,8 +23,8 @@ _MARKER = re.compile(r"#\s*repro-lint:\s*(?P<body>.*)$")
 _ALLOW = re.compile(
     r"allow\[(?P<rules>[A-Za-z0-9*,\s]+)\]\s*(?P<reason>.*)$"
 )
-# RPR = intra-file determinism rules, RPS = interprocedural
-# parallel-safety rules; both families share the suppression grammar.
+# RPR = determinism rules, RPS = parallel-safety rules (RPS104); both
+# families share the suppression grammar.
 _RULE_ID = re.compile(r"^RP[RS]\d{3}$")
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.residual import EPSILON
 from repro.errors import SimulationError
@@ -245,11 +245,6 @@ class EventSchedule:
         return bool(self._capacity_by_slot)
 
     @property
-    def max_capacity_slot(self) -> int:
-        """The last slot with a capacity event (-1 without any)."""
-        return max(self._capacity_by_slot, default=-1)
-
-    @property
     def max_event_slot(self) -> int:
         """The last slot any event (or injected arrival) needs (-1 if none).
 
@@ -267,14 +262,14 @@ class EventSchedule:
         """The slot's capacity events, in schedule order."""
         return self._capacity_by_slot.get(slot, ())
 
-    def cursor(self, next_slot: int = 0, consumed: int = 0) -> "EventCursor":
+    def cursor(self) -> "EventCursor":
         """A resumable read position over this schedule's capacity events.
 
         The streaming session consumes events through a cursor so a
         checkpoint can record exactly how far the schedule has been
         applied (see :class:`EventCursor`).
         """
-        return EventCursor(self, next_slot=next_slot, consumed=consumed)
+        return EventCursor(self)
 
     def with_policy(self, policy: str) -> "EventSchedule":
         """A copy of this schedule under a different disruption policy."""
@@ -394,6 +389,12 @@ class EventSchedule:
         self._transform_cache = (requests, transformed)
         return transformed
 
+    def __getstate__(self) -> dict[str, Any]:
+        # The memo holds the whole seed trace twice over (input and
+        # output list); a session transforms at construction only, so a
+        # checkpoint leaves it behind.
+        return {**self.__dict__, "_transform_cache": None}
+
     def validate(
         self, substrate: SubstrateNetwork, num_apps: int | None = None
     ) -> None:
@@ -464,19 +465,16 @@ class EventCursor:
     (:meth:`EventSchedule.capacity_events_at`); what a *run* needs on top
     is a record of how far it has consumed the schedule — which slot
     comes next and how many capacity events have been applied (the
-    ``num_events`` accounting). Keeping that here makes the simulation
-    session's checkpoint/restore trivial: :meth:`state` is two integers,
-    and :meth:`EventSchedule.cursor` rebuilds the position exactly.
+    ``num_events`` accounting). The cursor rides the session's pickle,
+    so a restored session resumes from exactly this position.
     """
 
     __slots__ = ("schedule", "next_slot", "consumed")
 
-    def __init__(
-        self, schedule: EventSchedule, next_slot: int = 0, consumed: int = 0
-    ) -> None:
+    def __init__(self, schedule: EventSchedule) -> None:
         self.schedule = schedule
-        self.next_slot = next_slot
-        self.consumed = consumed
+        self.next_slot = 0
+        self.consumed = 0
 
     def advance(self, slot: int) -> tuple[Event, ...]:
         """Consume and return the capacity events of ``slot``.
@@ -494,15 +492,6 @@ class EventCursor:
         self.next_slot = slot + 1
         self.consumed += len(events)
         return events
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether every capacity event lies behind the cursor."""
-        return self.next_slot > self.schedule.max_capacity_slot
-
-    def state(self) -> tuple[int, int]:
-        """``(next_slot, consumed)`` — everything a checkpoint needs."""
-        return (self.next_slot, self.consumed)
 
     def __repr__(self) -> str:
         return (

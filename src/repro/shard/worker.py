@@ -15,11 +15,11 @@ decision-identical by construction:
 
 There is one checkpoint format: a worker's boot payload, its
 ``checkpoint`` reply and a service snapshot's bytes are the same thing
-(:class:`~repro.sim.session.SessionSnapshot`, the pickle boundary the
-RPS audit certifies). The service is pickled whole — session, admission
-policy state, metrics counters — which is what makes
-kill-and-restore-on-a-spare bit-identical to an undisturbed run, shed
-offers included. A payload is validated from its header, in the parent,
+(:class:`~repro.sim.session.SessionSnapshot`, the pickle boundary
+``TestSnapshotPayload`` audits). The service is pickled whole —
+session, admission policy state, metrics counters — which is what
+makes kill-and-restore-on-a-spare bit-identical to an undisturbed run,
+shed offers included. A payload is validated from its header, in the parent,
 before anything is unpickled or spawned.
 
 Pool discipline follows :mod:`repro.sim.runner`: spawning workers is a

@@ -156,7 +156,10 @@ class ParallelRunner:
                 # the next repeat() gets a fresh pool. Shut the broken
                 # executor down too — surviving workers would otherwise
                 # linger as orphaned processes.
-                pool = _pools.pop(workers, None)  # repro-lint: allow[RPS102] parent-only by construction: _shared_pool (the sole pool creator) raises in workers, so this handler can only run in the parent that owns _pools
+                # Parent-only by construction: _shared_pool (the sole
+                # pool creator) raises in workers, so this handler can
+                # only run in the parent that owns _pools.
+                pool = _pools.pop(workers, None)
                 if pool is not None:
                     pool.shutdown(wait=False, cancel_futures=True)
                 raise
@@ -167,12 +170,12 @@ class ParallelRunner:
 #: once per point, and re-spawning workers (which re-import numpy/scipy)
 #: for every point would dominate small runs. Reaped at interpreter exit.
 #:
-#: RPS102 contract: this table (and ``_default_runner`` below) is
-#: **parent-process-only** state. Every pool worker imports this module
-#: and owns a private copy; a worker mutating its copy would silently
-#: diverge from the parent. ``_require_parent_process`` makes that
-#: contract loud at runtime, and each deliberate write below carries an
-#: ``allow[RPS102]`` suppression citing it.
+#: This table (and ``_default_runner`` below) is **parent-process-only**
+#: state. Every pool worker imports this module and owns a private copy;
+#: a worker mutating its copy would silently diverge from the parent.
+#: ``_require_parent_process`` makes that contract loud at runtime
+#: (``tests/test_parallel_runner.py::TestWorkerModuleState`` calls each
+#: guarded writer from a pool worker).
 _pools: dict[int, ProcessPoolExecutor] = {}
 
 
@@ -196,7 +199,8 @@ def _shared_pool(workers: int) -> ProcessPoolExecutor:
     _require_parent_process("creating a shared process pool")
     pool = _pools.get(workers)
     if pool is None:
-        pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)  # repro-lint: allow[RPS102] guarded by _require_parent_process above — only the parent ever populates the executor table
+        # Guarded above: only the parent ever populates the table.
+        pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)
     return pool
 
 
@@ -208,7 +212,9 @@ def shutdown_pools(wait: bool = True) -> int:
     """
     closed = 0
     while _pools:
-        _, pool = _pools.popitem()  # repro-lint: allow[RPS102] reaps the parent's executor table; a worker's copy is always empty (workers cannot create pools — _shared_pool raises there)
+        # Reaps the parent's table; a worker's copy is always empty
+        # (workers cannot create pools — _shared_pool raises there).
+        _, pool = _pools.popitem()
         pool.shutdown(wait=wait, cancel_futures=True)
         closed += 1
     return closed
@@ -234,5 +240,7 @@ def set_default_runner(runner: ParallelRunner) -> ParallelRunner:
     _require_parent_process("set_default_runner")
     global _default_runner
     previous = _default_runner
-    _default_runner = runner  # repro-lint: allow[RPS102] guarded by _require_parent_process above — the CLI swaps the parent's default runner before any pool exists
+    # Guarded above: the CLI swaps the parent's default runner before
+    # any pool exists.
+    _default_runner = runner
     return previous

@@ -11,8 +11,12 @@ from __future__ import annotations
 import difflib
 import json
 import os
+import sys
+from collections import deque
 from pathlib import Path
+from types import ModuleType
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -117,6 +121,26 @@ def _isolated_runner_and_cache(tmp_path, monkeypatch):
     yield
     set_default_runner(ParallelRunner(jobs=1))
     result_cache.configure_cache(enabled=False)
+
+
+#: What the boundary audits treat as writable in place: as a class
+#: attribute it is shared by every instance and left out of a pickle; at
+#: module level every worker process owns a private copy.
+MUTABLE_CONTAINERS = (list, dict, set, bytearray, deque, np.ndarray)
+
+
+def repro_module_bindings() -> dict[str, dict[str, object]]:
+    """``{module: {name: value}}`` — every module-level binding of every
+    loaded ``repro.*`` module (dunders and submodule attributes aside)."""
+    return {
+        module_name: {
+            name: value
+            for name, value in vars(module).items()
+            if not name.startswith("__") and not isinstance(value, ModuleType)
+        }
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.split(".")[0] == "repro"
+    }
 
 
 def make_line_substrate(

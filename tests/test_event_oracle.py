@@ -25,10 +25,13 @@ and the event tally.
 
 from __future__ import annotations
 
+import gc
 import io
 import pickle
 import pickletools
 import random
+from enum import Enum
+from types import BuiltinFunctionType, FunctionType, ModuleType
 
 import numpy as np
 import pytest
@@ -50,8 +53,11 @@ from repro.scenarios.events import (
     NodeRestore,
     capacity_invariant_gap,
 )
+from repro.serve.service import EmbedderService
 from repro.sim.engine import simulate
 from repro.sim.session import SessionSnapshot, SimulationSession
+from repro.workload.request import Request
+from tests.conftest import MUTABLE_CONTAINERS, repro_module_bindings
 from tests.test_fastpath_equivalence import assert_results_identical
 
 #: Every registered profile is part of the oracle contract; a new profile
@@ -298,12 +304,11 @@ def _check_step_and_restore(algorithm_name: str, profile: str) -> None:
 
 
 def _check_pickle_round_trip(algorithm_name: str, profile: str) -> None:
-    """The RPS runtime cross-check: the static RPS101/RPS103 rules claim
-    nothing unpicklable or checkpoint-stale rides the session pickle —
-    this proves it dynamically. A snapshot serialized with
-    ``to_bytes()`` mid-run, revived with ``from_bytes()`` and resumed
-    must continue bit-identically to both the uninterrupted session and
-    the batch ``simulate()`` run.
+    """Nothing unpicklable or checkpoint-stale rides the session
+    pickle: ``pickle`` itself refuses the first, and a snapshot
+    serialized with ``to_bytes()`` mid-run, revived with
+    ``from_bytes()`` and resumed must continue bit-identically to both
+    the uninterrupted session and the batch ``simulate()`` run.
     """
     scenario = _session_scenario(algorithm_name)
     slots = scenario.config.online_slots
@@ -462,8 +467,65 @@ def _classes_in(payload: bytes) -> tuple[set[str], set[str]]:
     return outer, sealed
 
 
+def _reachable(root) -> list:
+    """Every object ``root`` holds, however indirectly. The walk stops
+    at classes, modules and functions: code, not state."""
+    seen: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(
+            obj, (type, ModuleType, FunctionType, BuiltinFunctionType)
+        ):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def _audit_live_state(root) -> set[str]:
+    """Assert that all the state under ``root`` is its own, so a pickle
+    of it is complete; returns the ``repro`` classes the walk reached.
+
+    Two ways state escapes the instance that seems to own it: a mutable
+    class attribute (shared by every instance, and not pickled — a
+    restored object sees whatever the live class holds by then), and a
+    module-level container held by reference (pickled by value, so the
+    restored copy and the module's drift apart).
+    """
+    objects = _reachable(root)
+    module_level = {
+        id(value): f"{module}.{name}"
+        for module, names in repro_module_bindings().items()
+        for name, value in names.items()
+        if isinstance(value, MUTABLE_CONTAINERS)
+    }
+    aliased = {
+        module_level[id(obj)] for obj in objects if id(obj) in module_level
+    }
+    assert not aliased, f"module-level state held by reference: {aliased}"
+
+    reached = {
+        cls for cls in map(type, objects)
+        if cls.__module__.split(".")[0] == "repro"
+    }
+    shared = {
+        f"{base.__name__}.{name}"
+        for cls in reached
+        for base in cls.__mro__
+        # An Enum's member tables are fixed when the class is created.
+        if base.__module__.split(".")[0] == "repro"
+        and not issubclass(base, Enum)
+        for name, value in vars(base).items()
+        if not name.startswith("__")
+        and isinstance(value, MUTABLE_CONTAINERS)
+    }
+    assert not shared, f"class-level mutable defaults: {shared}"
+    return {cls.__name__ for cls in reached}
+
+
 class TestSnapshotPayload:
-    """What a checkpoint contains, measured on the bytes themselves."""
+    """What a checkpoint contains, measured on the bytes themselves and
+    on the live objects they are made from."""
 
     #: Derived state that must stay out: a route's throwaway
     #: shortest-path tree lives for one embed only.
@@ -477,6 +539,7 @@ class TestSnapshotPayload:
             scenario.config.online_slots,
         )
         session.run_until(3)
+        assert {"SimulationSession", "Request"} <= _audit_live_state(session)
 
         snapshot = session.snapshot()
         payload = snapshot.to_bytes()
@@ -488,6 +551,53 @@ class TestSnapshotPayload:
 
         # Nothing derived leaks back in through a restore either.
         again = SimulationSession.restore(snapshot).snapshot().to_bytes()
+        assert abs(len(again) - len(payload)) <= 0.01 * len(payload)
+
+    def test_service_under_workload_events_holds_only_its_own_state(self):
+        """An OLIVE service over a seed trace, with a flash crowd merged
+        in and a token bucket in front: the widest object graph a
+        checkpoint carries. The classes audited are whatever the walk
+        finds, and a restored checkpoint holds no request that its log,
+        its calendars, its ledger or the flash crowd itself does not
+        account for — the schedule's memo of the transformed trace (the
+        seed trace twice over) stays behind."""
+        scenario = _session_scenario("OLIVE")
+        slots = scenario.config.online_slots
+        schedule = resolve_events("flash-crowd", scenario, 21)
+        assert schedule.num_workload_events
+        service = EmbedderService(
+            SimulationSession(
+                make_algorithm("OLIVE", scenario),
+                scenario.online_requests(), slots, events=schedule,
+            ),
+            admission="token-bucket",
+            admission_params={"rate": 50, "burst": 80},
+            scenario=scenario,
+        )
+        service.advance_to(slots - 2)
+
+        reached = _audit_live_state(service)
+        assert len(reached) >= 30
+        assert reached >= {
+            "GreedyContext", "AppProfile", "LoadsRecipe", "TokenBucket",
+            "EventSchedule", "EventCursor", "Plan", "SubstrateIndex",
+            "Decision", "_ActiveAllocation",
+        }
+
+        snapshot = service.snapshot()
+        restored = EmbedderService.restore(snapshot)
+        session = restored.session
+        held = sum(isinstance(obj, Request) for obj in _reachable(restored))
+        assert held <= (
+            len(session._decisions) + len(session._preemptions)
+            + len(session._disruptions)
+            + session.pending_arrivals
+            + sum(map(len, session._departures_by_slot.values()))
+            + len(session.algorithm.active)
+            + len(session.events._injected)
+        )
+        again = restored.snapshot().to_bytes()
+        payload = snapshot.to_bytes()
         assert abs(len(again) - len(payload)) <= 0.01 * len(payload)
 
     def test_fullg_allocation_bytes_are_produced_once(self):

@@ -63,12 +63,8 @@ class TestSourceTreeIsClean:
             assert len(finding.suppress_reason) >= 10, finding.format_human()
 
     def test_src_is_rps_clean(self):
-        """The parallel-safety family alone certifies the shipped tree.
-
-        This is the pre-sharding gate from the RPS design: the worker /
-        pickle boundary audit must pass with zero unsuppressed findings
-        before any pool fan-out is trusted.
-        """
+        """RPS104 alone passes the shipped tree: every registration in
+        ``src`` happens at import scope, where a worker replays it."""
         report = run_lint(
             [REPO_ROOT / "src"],
             rules=select_rules(["RPS"]),
@@ -76,12 +72,6 @@ class TestSourceTreeIsClean:
         )
         messages = [f.format_human() for f in report.new]
         assert report.new == [], "\n".join(messages)
-        rps_suppressed = [
-            f for f in report.suppressed if f.rule.startswith("RPS")
-        ]
-        assert rps_suppressed, "expected documented RPS102 allows in runner"
-        for finding in rps_suppressed:
-            assert "repro/sim/runner.py" in finding.path
 
 
 # -- corpus replay ------------------------------------------------------------
@@ -105,10 +95,9 @@ class TestCorpusReplay:
             assert any(f"rpr00{rule}" in name for name in names), (
                 f"no corpus file exercises RPR00{rule}"
             )
-        for rule in range(101, 105):
-            assert any(f"rps{rule}" in name for name in names), (
-                f"no corpus file exercises RPS{rule}"
-            )
+        assert any("rps104" in name for name in names), (
+            "no corpus file exercises RPS104"
+        )
 
     @pytest.mark.parametrize(
         "path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES]
@@ -128,15 +117,6 @@ class TestCorpusReplay:
         assert "split_gpu_datacenters_pre_pr3" in by_context
         assert "split_gpu_datacenters_post_pr3" not in by_context
 
-    def test_rps102_catches_the_distilled_pools_divergence(self):
-        """The motivating hazard: repro.sim.runner's module pool table."""
-        path = CORPUS_DIR / "rps102_worker_globals.py"
-        findings = lint_file(path, select_rules(["RPS102"]), path.name)
-        by_context = {f.context for f in active(findings)}
-        assert "_shared_pool" in by_context, "pool-table write missed"
-        assert "configure" in by_context, "worker-reachable rebind missed"
-        assert "local_shadow" not in by_context, "local shadowing is safe"
-
 
 # -- rule selection -----------------------------------------------------------
 
@@ -144,17 +124,19 @@ class TestCorpusReplay:
 class TestRuleSelection:
     def test_family_prefix_selects_whole_family(self):
         ids = sorted(rule.rule_id for rule in select_rules(["RPS"]))
-        assert ids == ["RPS101", "RPS102", "RPS103", "RPS104"]
+        assert ids == ["RPS104"]
+        ids = sorted(rule.rule_id for rule in select_rules(["RPR"]))
+        assert ids == [f"RPR00{n}" for n in range(1, 7)]
 
     def test_exact_id_still_works(self):
-        (rule,) = select_rules(["RPS102"])
-        assert rule.rule_id == "RPS102"
+        (rule,) = select_rules(["RPR002"])
+        assert rule.rule_id == "RPR002"
 
     def test_prefix_and_exact_tokens_union(self):
         ids = sorted(
             rule.rule_id for rule in select_rules(["RPS", "RPR001"])
         )
-        assert ids == ["RPR001", "RPS101", "RPS102", "RPS103", "RPS104"]
+        assert ids == ["RPR001", "RPS104"]
 
     def test_unknown_token_raises(self):
         with pytest.raises(LintError):
@@ -429,11 +411,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
+        assert [line.split()[0] for line in out.splitlines()] == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPS101", "RPS102", "RPS103", "RPS104",
-        ):
-            assert rule_id in out
+            "RPS104",
+        ]
 
     def test_select_family_prefix_from_cli(self, tmp_path, capsys):
         (tmp_path / "late.py").write_text(

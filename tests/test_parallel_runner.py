@@ -1,9 +1,11 @@
 """Tests for the parallel experiment orchestration subsystem.
 
-Covers the three pieces the subsystem is made of:
+Covers the pieces the subsystem is made of:
 
 * :class:`repro.sim.runner.ParallelRunner` — ``jobs=1`` and ``jobs=4``
   must produce identical :class:`ConfidenceInterval` results;
+* the worker boundary — the code a pool or shard worker runs writes no
+  module-level state, and the parent-only writers refuse a worker;
 * :mod:`repro.experiments.cache` — hit / miss / invalidation semantics;
 * the CLI flags (``--jobs``, ``--no-cache``, ``--cache-dir``, ``all``).
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro import api
+from repro.api import Experiment, _PointTask
 from repro.errors import SimulationError
 from repro.experiments import cache as cache_mod
 from repro.experiments.__main__ import FIGURES, RENDERERS, build_parser, main
@@ -23,13 +26,18 @@ from repro.experiments.cache import (
     result_key,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.registry import Registry
+from repro.shard.worker import ProcessShardWorker
 from repro.sim import runner as runner_mod
 from repro.sim.runner import (
     ConfidenceInterval,
     ParallelRunner,
     get_default_runner,
+    set_default_runner,
     shutdown_pools,
 )
+from tests.conftest import MUTABLE_CONTAINERS, repro_module_bindings
+from tests.test_shard import _drive
 
 
 def deterministic_run(seed: int) -> dict[str, float]:
@@ -103,6 +111,105 @@ class TestPoolLifecycle:
         summary = runner.repeat(deterministic_run, repetitions=2)
         assert summary["cost"].count == 2
         shutdown_pools()
+
+
+def _module_state() -> dict[str, dict[str, object]]:
+    """Every loaded ``repro.*`` module's bindings, in a form that shows
+    a write: identity (a rebind like ``_default_runner``'s), plus the
+    contents of what is written in place — containers by value,
+    registries by their names."""
+
+    def seen(value):
+        if isinstance(value, MUTABLE_CONTAINERS):
+            return id(value), repr(value)
+        if isinstance(value, Registry):
+            return id(value), tuple(value.names())
+        return id(value)
+
+    return {
+        module: {name: seen(value) for name, value in names.items()}
+        for module, names in repro_module_bindings().items()
+    }
+
+
+def _write_parent_only_state(seed: int) -> dict[str, float]:
+    """Pool task: call each parent-only writer; 1.0 where it refused."""
+    writers = {
+        "_shared_pool": lambda: runner_mod._shared_pool(2),
+        "set_default_runner": lambda: set_default_runner(
+            ParallelRunner(jobs=2)
+        ),
+        # The guard comes before the payload is so much as parsed.
+        "ProcessShardWorker": lambda: ProcessShardWorker(0, b""),
+    }
+    refused = {}
+    for name, write in writers.items():
+        try:
+            write()
+        except SimulationError as error:
+            refused[name] = float("parent-process-only" in str(error))
+        else:
+            refused[name] = 0.0
+    return refused
+
+
+class TestWorkerModuleState:
+    """The worker boundary, audited on what the workers run.
+
+    A pool or shard worker imports ``repro`` afresh and owns a private
+    copy of every module-level binding, so whatever its code writes
+    there diverges from the parent unseen.
+    """
+
+    def test_worker_entry_points_leave_module_state_alone(self):
+        """Both real entry points, run in this process — a pool task
+        (``_PointTask.__call__``) and a shard worker's command loop
+        (``_execute``, through inline workers) — between two records of
+        every module-level binding."""
+        config = ExperimentConfig.test(
+            online_slots=10, measure_start=2, measure_stop=8,
+            history_slots=60, utilization=1.4, arrivals_per_node=4.0,
+            num_quantiles=4,
+        )
+        before = _module_state()
+        assert sum(map(len, before.values())) > 150
+        assert "_pools" in before["repro.sim.runner"]
+
+        task = _PointTask(
+            config, ("OLIVE", "QUICKG", "SLOTOFF"), (("events", "blackout"),)
+        )
+        assert task(0)
+        sharded = Experiment(config).algorithms("QUICKG").serve(
+            seed=0, shards=2, shard_workers="inline"
+        )
+        with sharded:
+            assert _drive(sharded, sharded.scenario, config.online_slots, 0)
+            assert sharded.finish().decisions
+
+        after = _module_state()
+        moved = sorted(
+            f"{module}.{name}"
+            for module, names in before.items()
+            for name in names.keys() | after[module].keys()
+            if names.get(name) != after[module].get(name)
+        )
+        assert not moved, f"worker code wrote module-level state: {moved}"
+
+    def test_parent_only_writers_refuse_a_pool_worker(self):
+        """``_pools`` and ``_default_runner`` are written in four places,
+        each behind ``_require_parent_process`` (as is spawning a shard
+        worker): called from a pool worker, every one raises."""
+        try:
+            refused = ParallelRunner(jobs=2).repeat(
+                _write_parent_only_state, repetitions=2
+            )
+        finally:
+            shutdown_pools()
+        assert {name: ci.mean for name, ci in refused.items()} == {
+            "_shared_pool": 1.0,
+            "set_default_runner": 1.0,
+            "ProcessShardWorker": 1.0,
+        }
 
 
 class TestInconsistentKeys:

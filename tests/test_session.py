@@ -566,10 +566,8 @@ class TestEventCursor:
         schedule = EventSchedule([LinkFailure(slot=1, link=link)])
         cursor = schedule.cursor()
         assert cursor.advance(0) == ()
-        assert not cursor.exhausted
         assert len(cursor.advance(1)) == 1
-        assert cursor.exhausted
-        assert cursor.state() == (2, 1)
+        assert (cursor.next_slot, cursor.consumed) == (2, 1)
 
     def test_rewind_and_skip_fail(self, line_substrate):
         link = next(iter(line_substrate.links))
@@ -579,16 +577,3 @@ class TestEventCursor:
             cursor.advance(0)
         with pytest.raises(SimulationError, match="in order"):
             cursor.advance(2)
-
-    def test_resume_from_state(self, line_substrate):
-        link = next(iter(line_substrate.links))
-        schedule = EventSchedule(
-            [LinkFailure(slot=1, link=link), LinkRecovery(slot=3, link=link)]
-        )
-        cursor = schedule.cursor()
-        cursor.advance(0)
-        cursor.advance(1)
-        resumed = schedule.cursor(*cursor.state())
-        assert resumed.advance(2) == ()
-        assert len(resumed.advance(3)) == 1
-        assert resumed.consumed == 2  # 1 carried over from the state + 1

@@ -27,11 +27,9 @@ PYPROJECT = REPO_ROOT / "pyproject.toml"
 #: The strict typed core, as module names (must mirror pyproject.toml).
 TYPED_CORE = (
     "repro.core.ledger",
-    "repro.devtools.callgraph",
     "repro.devtools.lint",
     "repro.devtools.lint.__main__",
     "repro.devtools.lint.framework",
-    "repro.devtools.lint.parallel_rules",
     "repro.devtools.lint.report",
     "repro.devtools.lint.rules",
     "repro.devtools.lint.suppressions",
