@@ -83,6 +83,11 @@ class LedgerAlgorithm:
         self.residual = ResidualState(substrate)
         #: Request id → allocation, in allocation order.
         self.active: dict[int, _ActiveAllocation] = {}
+        #: The non-planned rows of ``active`` — same objects, same relative
+        #: order — kept by :meth:`_commit` and :meth:`_evict` so OLIVE's
+        #: PREEMPT reads RDONE \ RPLAN without walking RDONE. Derived:
+        #: it stays out of the checkpoint.
+        self.preemptible: dict[int, _ActiveAllocation] = {}
 
     # -- the embed step ------------------------------------------------------
 
@@ -131,7 +136,7 @@ class LedgerAlgorithm:
         """ALLOCATE (lines 18–22): commit residuals and record the request."""
         self.residual.allocate(loads)
         cost = loads.cost_per_slot(self.substrate)
-        self.active[request.id] = _ActiveAllocation(
+        self.active[request.id] = allocation = _ActiveAllocation(
             request=request,
             embedding=embedding,
             loads=loads,
@@ -139,6 +144,8 @@ class LedgerAlgorithm:
             planned=planned,
             pattern_index=pattern_index,
         )
+        if not planned:
+            self.preemptible[request.id] = allocation
         return Decision(
             request=request,
             accepted=True,
@@ -158,13 +165,31 @@ class LedgerAlgorithm:
         Unknown ids are tolerated: the request may have been rejected at
         arrival or preempted since.
         """
-        self._evict(request.id)
+        self._depart(request)
+
+    def _depart(self, request: Request) -> _ActiveAllocation | None:
+        """Evict the row ``request`` itself holds, if it still holds one.
+
+        An id can outlive its row: a preempted (or disrupted) request that
+        is offered again under its id gets a new row, and the original's
+        departure is still on the calendar. That departure must not
+        release the retry, so the row has to be this request's — the same
+        object, or an equal one where a restore rebuilt the row.
+        """
+        allocation = self.active.get(request.id)
+        if allocation is None or not (
+            allocation.request is request or allocation.request == request
+        ):
+            return None
+        return self._evict(request.id)
 
     def _evict(self, request_id: int) -> _ActiveAllocation | None:
         """Drop one allocation and return its capacity — the single exit
         from ``active`` (departure, preemption, disruption)."""
         allocation = self.active.pop(request_id, None)
         if allocation is not None:
+            if not allocation.planned:
+                del self.preemptible[request_id]
             self.residual.release(allocation.loads)
         return allocation
 
@@ -240,6 +265,7 @@ class LedgerAlgorithm:
             rows.append((a.sealed, a.planned, a.pattern_index))
         state = self.__dict__.copy()
         state["active"] = rows
+        del state["preemptible"]
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -252,3 +278,6 @@ class LedgerAlgorithm:
             self.active[request.id] = _ActiveAllocation(
                 request, embedding, loads, cost, planned, pattern_index, sealed
             )
+        self.preemptible = {
+            i: a for i, a in self.active.items() if not a.planned
+        }

@@ -96,12 +96,13 @@ class OliveAlgorithm(LedgerAlgorithm):
         for allocation in self.active.values():
             allocation.planned = False
             allocation.pattern_index = None
+        self.preemptible = dict(self.active)
 
     # -- departures ---------------------------------------------------------
 
     def release(self, request: Request) -> None:
         """Return a departing request's resources, and its plan draw."""
-        allocation = self._evict(request.id)
+        allocation = self._depart(request)
         if allocation is not None and allocation.planned:
             self.plan_residual.release(
                 allocation.request.class_key(),
@@ -221,27 +222,42 @@ class OliveAlgorithm(LedgerAlgorithm):
     def _preempt_for(self, loads: ElementLoads) -> list[Request] | None:
         """PREEMPT (lines 35–38): free borrowed capacity for a planned fit.
 
-        Only non-planned active allocations (RDONE \\ RPLAN) are candidates.
-        Returns the preempted requests, or None when even preempting every
-        candidate could not cover the shortfall (then nothing is touched).
+        Only non-planned active allocations (RDONE \\ RPLAN) are candidates,
+        and the ledger keeps exactly those in ``preemptible``. Returns the
+        preempted requests, or None when even preempting every candidate
+        could not cover the shortfall (then nothing is touched).
         """
         shortfall = self.residual.shortfall(loads)
         if not shortfall.nodes and not shortfall.links:
             return []
-        candidates = [a for a in self.active.values() if not a.planned]
 
-        available_nodes: dict = {}
-        available_links: dict = {}
-        for allocation in candidates:
-            for node, load in allocation.loads.nodes.items():
-                available_nodes[node] = available_nodes.get(node, 0.0) + load
-            for link, load in allocation.loads.links.items():
-                available_links[link] = available_links.get(link, 0.0) + load
+        # Only the short elements are summed — each in allocation order,
+        # so the float sums are the ones a walk of every load would give —
+        # and only rows loading one of them can ever contribute.
+        available_nodes = dict.fromkeys(shortfall.nodes, 0.0)
+        available_links = dict.fromkeys(shortfall.links, 0.0)
+        candidates: list[_ActiveAllocation] = []
+        for allocation in self.preemptible.values():
+            touches = False
+            row_nodes = allocation.loads.nodes
+            for node in available_nodes:
+                load = row_nodes.get(node)
+                if load is not None:
+                    available_nodes[node] += load
+                    touches = True
+            row_links = allocation.loads.links
+            for link in available_links:
+                load = row_links.get(link)
+                if load is not None:
+                    available_links[link] += load
+                    touches = True
+            if touches:
+                candidates.append(allocation)
         for node, need in shortfall.nodes.items():
-            if available_nodes.get(node, 0.0) + EPSILON < need:
+            if available_nodes[node] + EPSILON < need:
                 return None
         for link, need in shortfall.links.items():
-            if available_links.get(link, 0.0) + EPSILON < need:
+            if available_links[link] + EPSILON < need:
                 return None
 
         remaining_nodes = dict(shortfall.nodes)

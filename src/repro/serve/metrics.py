@@ -47,6 +47,11 @@ class ServiceMetrics:
     p99_latency_ms: float
     #: Cumulative requests dropped by dynamic events (disruptions).
     disrupted: int
+    #: Cumulative accepted requests dropped before their departure — by
+    #: OLIVE's PREEMPT or by a dynamic event (``disrupted`` is that
+    #: subset). The paper's rejection metric counts these as rejections;
+    #: ``acceptance_rate`` does not.
+    preempted: int
 
     def describe(self) -> str:
         """One operator-readable status line."""
@@ -54,7 +59,8 @@ class ServiceMetrics:
             f"slot {self.slot}: {self.offers} offers, "
             f"{self.acceptance_rate:.1%} accepted "
             f"(rolling {self.rolling_acceptance_rate:.1%}), "
-            f"{self.shed} shed, util {self.utilization:.1%}, "
+            f"{self.shed} shed, {self.preempted} preempted, "
+            f"util {self.utilization:.1%}, "
             f"latency p50 {self.p50_latency_ms:.3f}ms "
             f"p99 {self.p99_latency_ms:.3f}ms"
         )
@@ -95,6 +101,7 @@ class MetricsStream:
         self.rejected = 0
         self.shed = 0
         self.disrupted = 0
+        self.preempted = 0
         self.slots = 0
         self._subscribers: list[Callable[[ServiceMetrics], None]] = []
         self._latest: ServiceMetrics | None = None
@@ -115,6 +122,7 @@ class MetricsStream:
             total.rejected += stream.rejected
             total.shed += stream.shed
             total.disrupted += stream.disrupted
+            total.preempted += stream.preempted
             total.slots += stream.slots
             total._outcomes.extend(stream._outcomes)
             total._latencies.extend(stream._latencies)
@@ -165,6 +173,7 @@ class MetricsStream:
         """Fold one closed slot's report into the counters."""
         self.slots += 1
         self.disrupted += len(report.disrupted)
+        self.preempted += len(report.preempted)
 
     # -- publishing ----------------------------------------------------------
 
@@ -202,6 +211,7 @@ class MetricsStream:
             p50_latency_ms=_percentile(latencies, 0.50) * 1e3,
             p99_latency_ms=_percentile(latencies, 0.99) * 1e3,
             disrupted=self.disrupted,
+            preempted=self.preempted,
         )
 
     def emit(

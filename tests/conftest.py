@@ -143,6 +143,17 @@ def repro_module_bindings() -> dict[str, dict[str, object]]:
     }
 
 
+def assert_preemptible_is_derived(algorithm) -> None:
+    """The ledger's ``preemptible`` index is exactly the non-planned rows
+    of ``active`` — the same objects, in ``active``'s order."""
+    expected = [
+        (i, a) for i, a in algorithm.active.items() if not a.planned
+    ]
+    actual = list(algorithm.preemptible.items())
+    assert [i for i, _ in actual] == [i for i, _ in expected]
+    assert all(a is b for (_, a), (_, b) in zip(actual, expected))
+
+
 def make_line_substrate(
     node_capacity: float = 1000.0,
     link_capacity: float = 500.0,

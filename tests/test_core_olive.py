@@ -7,12 +7,17 @@ demand units of class (app 0, ingress edge-a) collocated on 'transport'.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.api import resolve_events
 from repro.apps.application import ROOT_ID
 from repro.core.olive import OliveAlgorithm
+from repro.core.residual import EPSILON
 from repro.errors import SimulationError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import build_scenario, make_algorithm
 from repro.plan.pattern import ClassPlan, EmbeddingPattern, Plan
 from repro.plan.replanning import ReplanningOliveAlgorithm
 from repro.plan.windowed import PlanSchedule, WindowedOliveAlgorithm
@@ -45,12 +50,36 @@ def _request(rid: int, demand: float, ingress: str = "edge-a", arrival: int = 0)
     )
 
 
-@pytest.fixture
-def olive(chain_app):
+def line_olive(chain_app) -> OliveAlgorithm:
     substrate = make_line_substrate(node_capacity=1000.0, link_capacity=2000.0)
     # Give transport extra room so the plan's 200-unit guarantee plus
     # borrowed load can coexist in the preemption tests.
     return OliveAlgorithm(substrate, [chain_app], _plan_at_transport())
+
+
+@pytest.fixture
+def olive(chain_app):
+    return line_olive(chain_app)
+
+
+def transport_borrowers(olive, count: int = 15, duration: int = 5):
+    """``count`` requests (ids 100…) that can only go greedy onto
+    'transport', 200 load each: 15 fill the fixture's 3000 completely,
+    so the next planned request has to preempt."""
+    olive.residual.nodes["core"] = 0.0
+    olive.residual.nodes["edge-a"] = 0.0
+    olive.residual.nodes["edge-b"] = 0.0
+    return [
+        Request(arrival=0, id=100 + i, app_index=0, ingress="edge-b",
+                demand=10.0, duration=duration)
+        for i in range(count)
+    ]
+
+
+def olive_full_of_borrowers(olive, count: int = 15) -> None:
+    for request in transport_borrowers(olive, count):
+        decision = olive.process(request)
+        assert decision.accepted and decision.via_greedy
 
 
 class TestPlannedPath:
@@ -112,21 +141,9 @@ class TestBorrowedPath:
 
 
 class TestPreemption:
-    def _fill_transport_with_borrowers(self, olive, count: int):
-        """Force greedy allocations onto 'transport' and fill it."""
-        olive.residual.nodes["core"] = 0.0
-        olive.residual.nodes["edge-a"] = 0.0
-        olive.residual.nodes["edge-b"] = 0.0
-        for i in range(count):
-            decision = olive.process(
-                _request(100 + i, demand=10.0, ingress="edge-b")
-            )
-            assert decision.accepted and decision.via_greedy
-        return olive
-
     def test_planned_request_preempts_borrowers(self, olive):
         # 15 greedy requests × 200 load fill transport (3000) completely.
-        self._fill_transport_with_borrowers(olive, 15)
+        olive_full_of_borrowers(olive)
         assert olive.residual.nodes["transport"] == pytest.approx(0.0)
         decision = olive.process(_request(1, demand=4.0))
         assert decision.accepted and decision.planned
@@ -142,7 +159,7 @@ class TestPreemption:
             substrate, [chain_app], _plan_at_transport(),
             enable_preemption=False,
         )
-        TestPreemption._fill_transport_with_borrowers(self, olive, 15)
+        olive_full_of_borrowers(olive)
         decision = olive.process(_request(1, demand=4.0))
         # Without preemption the planned embedding is dropped; greedy finds
         # no capacity anywhere (everything zeroed or full) → reject.
@@ -152,7 +169,7 @@ class TestPreemption:
     def test_planned_allocations_are_never_preempted(self, olive):
         planned = olive.process(_request(1, demand=10.0))  # full guarantee
         assert planned.planned
-        self._fill_transport_with_borrowers(olive, 14)  # 2800 of 2800 left
+        olive_full_of_borrowers(olive, 14)  # 2800 of 2800 left
         # A new planned request cannot fit its pattern (residual 0) and
         # borrows; nothing should ever preempt request 1.
         decision = olive.process(_request(2, demand=4.0))
@@ -176,6 +193,193 @@ class TestPreemption:
         assert not decision.accepted
         # The borrower survives a failed preemption attempt.
         assert 50 in olive.active
+
+
+    def test_preempt_never_walks_the_active_table(self, chain_app):
+        """A count guard, no timing: with 2 000 planned rows and 10
+        borrowed ones, PREEMPT finds its victim without iterating
+        ``active`` (membership, the commit's store and the eviction's
+        ``pop`` by id are keyed, and allowed)."""
+
+        class Unwalkable(dict):
+            def _refuse(self, *args):
+                raise AssertionError("PREEMPT walked the active table")
+
+            values = items = keys = __iter__ = _refuse
+
+        substrate = make_line_substrate(
+            node_capacity=1e6, link_capacity=1e7
+        )
+        olive = OliveAlgorithm(
+            substrate, [chain_app], _plan_at_transport(demand=1e4)
+        )
+        for rid in range(2000):
+            assert olive.process(_request(1000 + rid, demand=1.0)).planned
+        olive_full_of_borrowers(olive, 10)
+        olive.residual.nodes["transport"] = 0.0
+        assert len(olive.active) == 2010 and len(olive.preemptible) == 10
+
+        olive.active = Unwalkable(olive.active)
+        decision = olive.process(_request(1, demand=4.0))
+        assert decision.planned
+        assert [r.id for r in decision.preempted] == [100]
+        assert 100 not in olive.active and 1 in olive.active
+        with pytest.raises(AssertionError, match="walked"):
+            olive.active_demand()  # the guard does bite a walk
+
+
+def reference_victims(algorithm, loads) -> list[int] | None:
+    """PREEMPT's victim ids by the full walk the index replaced, kept
+    verbatim as a plain-loop twin: every active row is read, every load
+    of every non-planned row is summed, all of them are sorted. Evicts
+    nothing."""
+    shortfall = algorithm.residual.shortfall(loads)
+    if not shortfall.nodes and not shortfall.links:
+        return []
+    candidates = [a for a in algorithm.active.values() if not a.planned]
+
+    available_nodes: dict = {}
+    available_links: dict = {}
+    for allocation in candidates:
+        for node, load in allocation.loads.nodes.items():
+            available_nodes[node] = available_nodes.get(node, 0.0) + load
+        for link, load in allocation.loads.links.items():
+            available_links[link] = available_links.get(link, 0.0) + load
+    for node, need in shortfall.nodes.items():
+        if available_nodes.get(node, 0.0) + EPSILON < need:
+            return None
+    for link, need in shortfall.links.items():
+        if available_links.get(link, 0.0) + EPSILON < need:
+            return None
+
+    remaining_nodes = dict(shortfall.nodes)
+    remaining_links = dict(shortfall.links)
+
+    def contribution(allocation) -> float:
+        total = 0.0
+        for node, load in allocation.loads.nodes.items():
+            if node in remaining_nodes:
+                total += min(load, remaining_nodes[node])
+        for link, load in allocation.loads.links.items():
+            if link in remaining_links:
+                total += min(load, remaining_links[link])
+        return total
+
+    chosen = []
+    for allocation in sorted(candidates, key=contribution, reverse=True):
+        if not remaining_nodes and not remaining_links:
+            break
+        if contribution(allocation) <= 0:
+            continue
+        chosen.append(allocation)
+        for node, load in allocation.loads.nodes.items():
+            if node in remaining_nodes:
+                remaining_nodes[node] -= load
+                if remaining_nodes[node] <= EPSILON:
+                    del remaining_nodes[node]
+        for link, load in allocation.loads.links.items():
+            if link in remaining_links:
+                remaining_links[link] -= load
+                if remaining_links[link] <= EPSILON:
+                    del remaining_links[link]
+    if remaining_nodes or remaining_links:
+        return None
+    return [allocation.request.id for allocation in chosen]
+
+
+class TestPreemptTwin:
+    """Every real PREEMPT of three runs picks the twin's victims, in
+    order (the twin runs first, on the untouched ledger)."""
+
+    @pytest.fixture(scope="class")
+    def overloaded(self):
+        return build_scenario(ExperimentConfig.test(utilization=1.4), seed=0)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """``(algorithm, victims)`` of each PREEMPT call, checked against
+        the twin as it happens."""
+        real = OliveAlgorithm._preempt_for
+        calls = []
+
+        def checked(algorithm, loads):
+            expected = reference_victims(algorithm, loads)
+            freed = real(algorithm, loads)
+            victims = None if freed is None else [r.id for r in freed]
+            assert victims == expected
+            calls.append((algorithm, victims))
+            return freed
+
+        monkeypatch.setattr(OliveAlgorithm, "_preempt_for", checked)
+        return calls
+
+    @staticmethod
+    def _session(scenario):
+        # Blackout cuts capacity under the plan, so some planned fits
+        # are short of more than the borrowers hold: PREEMPT says None.
+        return SimulationSession(
+            make_algorithm("OLIVE", scenario),
+            scenario.online_requests(),
+            scenario.config.online_slots,
+            events=resolve_events("blackout", scenario, 0, "reroute"),
+        )
+
+    def test_overloaded_session(self, overloaded, calls):
+        self._session(overloaded).run()
+        victims = [v for _, v in calls]
+        assert len(victims) >= 200                                  # 1001
+        assert sum(v is None for v in victims) >= 1                 # 704
+        assert sum(v is not None and len(v) >= 2 for v in victims) >= 1  # 34
+
+    def test_across_switch_plan(self, overloaded, calls, monkeypatch):
+        """OLIVE-W: a switch downgrades the planned rows where they
+        stand, so they sit among the borrowed rows in ``active`` order —
+        not behind them."""
+        switch = WindowedOliveAlgorithm.switch_plan
+        downgraded: set[int] = set()
+        switches = []  # (PREEMPT calls so far, rows interleaved?)
+
+        def spying(algorithm, plan):
+            rows = list(algorithm.active.values())
+            planned = [a.planned for a in rows]
+            # A borrowed row behind a planned one: appending the
+            # downgraded rows to the index would reorder these two.
+            switches.append((
+                len(calls),
+                True in planned and False in planned[planned.index(True):],
+            ))
+            downgraded.update(a.request.id for a in rows if a.planned)
+            switch(algorithm, plan)
+
+        monkeypatch.setattr(WindowedOliveAlgorithm, "switch_plan", spying)
+        plan = overloaded.plan
+        algorithm = WindowedOliveAlgorithm(
+            overloaded.substrate, overloaded.apps,
+            PlanSchedule(starts=[0, 6], plans=[plan, replace(plan)]),
+            efficiency=overloaded.efficiency,
+        )
+        SimulationSession(
+            algorithm, overloaded.online_requests(),
+            overloaded.config.online_slots,
+        ).run_until(14)
+        (before, interleaved), = switches
+        assert interleaved
+        after = calls[before:]
+        victims = [v for _, v in after if v]
+        assert len(after) >= 200                                    # 315
+        assert sum(len(v) >= 2 for v in victims) >= 1               # 28
+        assert sum(not downgraded.isdisjoint(v) for v in victims) >= 1  # 257
+
+    def test_restored_mid_run(self, overloaded, calls):
+        session = self._session(overloaded)
+        session.run_until(overloaded.config.online_slots // 2)
+        before = len(calls)
+        resumed = SimulationSession.restore(session.snapshot())
+        resumed.run()
+        after = [v for a, v in calls[before:] if a is resumed.algorithm]
+        assert len(after) == len(calls) - before >= 200             # 356
+        assert sum(v is None for v in after) >= 1                   # 134
+        assert sum(v is not None and len(v) >= 2 for v in after) >= 1  # 24
 
 
 def _windowed(substrate, app):

@@ -16,7 +16,9 @@ the dedicated suites pin individually:
   decision log and never goes negative;
 * the capacity invariant — residual + active loads == effective
   capacity on every element when the run ends
-  (:func:`~repro.scenarios.events.capacity_invariant_gap`).
+  (:func:`~repro.scenarios.events.capacity_invariant_gap`);
+* the ledger's ``preemptible`` index is the non-planned rows of
+  ``active`` after every slot.
 
 The same property runs at two budgets: a handful of examples in the
 fast tier, and the >=200-example ``slow``-marked run that CI executes
@@ -55,7 +57,9 @@ from repro.scenarios.events import (
     capacity_invariant_gap,
 )
 from repro.sim.engine import simulate
+from repro.sim.session import SimulationSession
 from repro.workload.request import Request
+from tests.conftest import assert_preemptible_is_derived
 from tests.test_event_oracle import _assert_event_results_identical
 from tests.test_property_invariants import _expected_allocated
 
@@ -192,7 +196,13 @@ def _check(descriptor) -> None:
         )
 
     fast_algorithm = make(True)
-    fast = simulate(fast_algorithm, online, ONLINE_SLOTS, events=schedule)
+    # simulate(), stopped after every slot to look at the ledger.
+    session = SimulationSession(
+        fast_algorithm, online, ONLINE_SLOTS, events=schedule
+    )
+    for _ in session:
+        assert_preemptible_is_derived(fast_algorithm)
+    fast = session.result()
     reference = simulate(make(False), online, ONLINE_SLOTS, events=schedule)
 
     _assert_event_results_identical(fast, reference)

@@ -13,7 +13,9 @@ the shared ledger (OLIVE, QUICKG, OLIVE-W, FULLG, NODERANK):
    ground truth.
 
 A third is checked once per algorithm: an id offered again while it is
-still active is refused and books nothing.
+still active is refused and books nothing. A fourth after every slot
+again: the ledger's ``preemptible`` index is the non-planned rows of
+``active`` — across reroute events, ``switch_plan`` and a restore.
 
 Unlike ``test_property_olive.py`` (hand-built substrates, synthetic
 request streams), these run the full scenario pipeline — topology, MMPP
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import resolve_events
 from repro.baselines.noderank import NodeRankAlgorithm
 from repro.core.embedding import compute_loads
 from repro.errors import SimulationError
@@ -36,6 +39,7 @@ from repro.scenarios.events import capacity_invariant_gap
 from repro.serve import EmbedderService
 from repro.sim.engine import simulate
 from repro.sim.session import SimulationSession
+from tests.conftest import assert_preemptible_is_derived
 
 # OLIVE-W recomputes a windowed plan schedule per hypothesis example,
 # pushing its parametrizations past the 10 s line — they move to the
@@ -141,6 +145,7 @@ def test_residual_plus_active_loads_is_capacity(algorithm, seed, utilization):
             on_slot(t)
         for request in by_arrival.get(t, []):
             alg.process(request)
+        assert_preemptible_is_derived(alg)
 
         # Ground truth: recompute every active allocation's loads from
         # its embedding and subtract from raw capacity.
@@ -170,6 +175,36 @@ def test_residual_plus_active_loads_is_capacity(algorithm, seed, utilization):
             assert alg.residual.links[link] == pytest.approx(
                 expected, abs=1e-6 * max(1.0, abs(expected))
             ), (algorithm, t, link)
+
+
+@pytest.mark.parametrize("algorithm", (*ALGORITHMS, "OLIVE-RE"))
+def test_preemptible_is_the_non_planned_rows(algorithm):
+    """After every slot of an overloaded run under a rerouting blackout,
+    restored from a snapshot halfway — and never in a checkpoint."""
+    scenario = _scenario(0, 1.4)
+    slots = scenario.config.online_slots
+    session = SimulationSession(
+        _build(algorithm, scenario), scenario.online_requests(), slots,
+        events=resolve_events("blackout", scenario, 0, "reroute"),
+    )
+    planned = borrowed = 0
+    for t in range(slots):
+        if t == slots // 2:
+            session = SimulationSession.restore(session.snapshot())
+            assert_preemptible_is_derived(session.algorithm)
+        report = session.step()
+        alg = session.algorithm
+        assert_preemptible_is_derived(alg)
+        planned += sum(d.planned for d in report.decisions)
+        borrowed += sum(
+            d.accepted and not d.planned for d in report.decisions
+        )
+    assert "preemptible" not in alg.__getstate__()
+    assert session.result().num_events > 0 and borrowed
+    if algorithm.startswith("OLIVE"):
+        assert planned and session.result().preemptions
+        # OLIVE-W / OLIVE-RE switched plans on the way.
+        assert (algorithm == "OLIVE") == (alg.plan == scenario.plan)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Tests for the serving layer (repro.serve) and its facade entry points."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +23,7 @@ from repro.serve import (
 from repro.sim.session import SimulationSession
 from repro.utils.rng import make_rng
 from repro.workload.request import Request
+from tests.test_core_olive import line_olive, transport_borrowers
 
 
 def _request(rid, arrival=0, demand=1.0, duration=3, ingress="edge-a", app=0):
@@ -157,6 +160,37 @@ def test_refused_offer_books_nothing(lane, admission):
     assert capacity_invariant_gap(service.algorithm) == pytest.approx(
         0.0, abs=1e-6
     )
+
+
+def test_preempted_ids_retry_outlives_the_stale_departure(chain_app):
+    """Through ``offer``: a preempted request offered again under its id
+    is not released by the original's departure — nor, on a restored
+    service (rows rebuilt, so equal but no longer the calendar's
+    objects), kept past its own. The preemption is counted."""
+    olive = line_olive(chain_app)
+    borrowers = transport_borrowers(olive, duration=2)
+    service = EmbedderService(SimulationSession(olive, [], 14))
+    service.offer_many(borrowers)
+    planned = service.offer(_request(1, arrival=0, demand=4.0, duration=5))
+    assert planned.planned and planned.preempted == (borrowers[0],)
+    retry = replace(borrowers[0], arrival=1, demand=5.0, duration=10)
+    assert service.offer(retry).accepted
+
+    service.advance_to(3)  # slot 2 ran the fifteen original departures
+    assert olive.active[retry.id].request is retry
+    assert service.metrics.preempted == 1 and service.metrics.disrupted == 0
+    assert service.metrics.latest.preempted == 1
+    assert "1 preempted" in service.metrics.latest.describe()
+
+    resumed = EmbedderService.restore(service.snapshot())
+    for live in (service, resumed):
+        live.advance_to(retry.departure)
+        assert list(live.algorithm.active) == [retry.id]
+        live.tick()
+        assert not live.algorithm.active
+        assert live.metrics.preempted == 1
+    merged = MetricsStream.merged([service.metrics, resumed.metrics])
+    assert merged.preempted == 2
 
 
 class TestOfferMany:
@@ -502,7 +536,10 @@ class TestServiceSnapshot:
         assert replayed == tail(live)
         assert len(notified) > heard
         assert resumed.recent_shed == live.recent_shed
-        for counter in ("offers", "accepted", "rejected", "shed", "slots"):
+        for counter in (
+            "offers", "accepted", "rejected", "shed", "disrupted",
+            "preempted", "slots",
+        ):
             assert getattr(resumed.metrics, counter) == getattr(
                 live.metrics, counter
             ), counter

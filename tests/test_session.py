@@ -10,6 +10,7 @@ event cursor.
 
 import gc
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.scenarios.events import (
 from repro.sim.engine import simulate
 from repro.sim.session import SessionSnapshot, SimulationSession
 from repro.workload.request import Request
+from tests.test_core_olive import line_olive, transport_borrowers
 
 
 def _request(rid, arrival=0, demand=1.0, duration=3, ingress="edge-a", app=0):
@@ -235,6 +237,35 @@ class TestProcess:
         report = session.close_slot()
         assert report.requested_demand == pytest.approx(2.0)
         assert [d.request.id for d in report.decisions] == [1]
+
+    def test_stale_departure_spares_a_preempted_ids_retry(self, chain_app):
+        """A preempted request offered again under its id holds a new
+        row. The original's departure is still on the calendar; it must
+        release nothing, and the retry leaves at its own departure."""
+        olive = line_olive(chain_app)
+        borrowers = transport_borrowers(olive, duration=2)
+        session = SimulationSession(olive, [], 14)
+        session.begin_slot()
+        session.process_many(borrowers)
+        planned = session.process(_request(1, arrival=0, demand=4.0))
+        assert planned.planned and planned.preempted == (borrowers[0],)
+        session.close_slot()
+
+        retry = replace(borrowers[0], arrival=1, demand=5.0, duration=10)
+        session.begin_slot()
+        assert session.process(retry).accepted
+        session.close_slot()
+
+        report = session.step()  # slot 2: all fifteen originals depart
+        assert report.departures == tuple(borrowers)
+        assert report.preempted == ()
+        assert olive.active[retry.id].request is retry
+        assert report.allocated_demand == pytest.approx(4.0 + 5.0)
+        session.run_until(retry.departure)
+        assert retry.id in olive.active
+        report = session.step()
+        assert report.departures == (retry,) and not olive.active
+        assert olive.residual.nodes["transport"] == pytest.approx(3000.0)
 
     def test_batch_algorithm_cannot_stream(self, line_substrate, chain_app):
         session = SimulationSession(

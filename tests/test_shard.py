@@ -370,6 +370,7 @@ class TestMetrics:
         assert merged.rejected == expected.rejected
         assert merged.shed == expected.shed
         assert merged.disrupted == expected.disrupted
+        assert merged.preempted == expected.preempted
         assert merged.utilization == pytest.approx(expected.utilization)
         assert merged.acceptance_rate == pytest.approx(
             expected.acceptance_rate
