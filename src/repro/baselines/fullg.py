@@ -14,7 +14,9 @@ cost of embedding the subtree rooted at j with j placed on v::
 
 The inner minimum over all w is computed for *all* v simultaneously with
 one multi-source Dijkstra per virtual link, seeded with H_k(w) at every w
-(route costs are symmetric on an undirected substrate).
+(route costs are symmetric on an undirected substrate): the shared
+:func:`~repro.utils.paths.cheapest_host_search` with those seeds and
+``node_load=math.inf``, reading the live residual lists by position.
 
 The DP prices each element against the residual capacity independently; a
 mapping where several virtual elements share one substrate element could
@@ -26,7 +28,6 @@ the same regime where the paper's ILP would reject too.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from repro.apps.application import ROOT_ID, Application
@@ -35,50 +36,9 @@ from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.ledger import LedgerAlgorithm
 from repro.core.profile import AppProfile, AppProfileCache
 from repro.core.residual import ResidualState
-from repro.errors import SimulationError
 from repro.substrate.network import NodeId, SubstrateNetwork, substrate_index
+from repro.utils.paths import cheapest_host_search, tree_path
 from repro.workload.request import Request
-
-
-def _multi_source_dijkstra(
-    substrate: SubstrateNetwork,
-    link_residual: dict,
-    link_cost: dict,
-    seeds: dict[NodeId, float],
-    link_load: float,
-) -> tuple[dict[NodeId, float], dict[NodeId, tuple[NodeId, tuple]]]:
-    """min_w [route(v, w) + seed(w)] for every v, with parent pointers.
-
-    Seeds are the subtree costs H_k(w); traversal is restricted to links
-    whose residual capacity covers ``link_load`` and priced at
-    ``link_load × cost(link)`` per hop. Walking parents from any v leads
-    back to its optimal seed node w. ``link_residual``/``link_cost`` are
-    plain-dict snapshots (residuals are fixed for the duration of one
-    request; native dict lookups keep the relaxation loop fast).
-    """
-    dist: dict[NodeId, float] = dict(seeds)
-    parent: dict[NodeId, tuple[NodeId, tuple]] = {}
-    heap = [(cost, i, node) for i, (node, cost) in enumerate(seeds.items())]
-    heapq.heapify(heap)
-    counter = len(heap)
-    finished: set[NodeId] = set()
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in finished or d > dist.get(node, math.inf):
-            continue
-        finished.add(node)
-        for neighbor, link in substrate.adjacency[node]:
-            if neighbor in finished:
-                continue
-            if link_residual[link] < link_load:
-                continue
-            candidate = d + link_load * link_cost[link]
-            if candidate < dist.get(neighbor, math.inf):
-                dist[neighbor] = candidate
-                parent[neighbor] = (node, link)
-                heapq.heappush(heap, (candidate, counter, neighbor))
-                counter += 1
-    return dist, parent
 
 
 def exact_embed(
@@ -96,17 +56,12 @@ def exact_embed(
     resulting placement costs are bit-identical either way.
     """
     demand = request.demand
-    if request.ingress not in substrate.nodes:
-        raise SimulationError(f"unknown ingress {request.ingress!r}")
     index = substrate_index(substrate)
     node_ids = index.node_ids
     node_costs = index.node_cost_list
-    # Position-indexed residuals, already in node-id order; fixed for the
-    # duration of one request. The link snapshot feeds the per-virtual-
-    # link Dijkstras' key-based lookups.
+    # Position-indexed residuals, in node-id order; fixed for the
+    # duration of one request.
     node_residual = residual.node_residual
-    link_residual = dict(zip(index.link_ids, residual.link_residual))
-    link_cost = index.link_cost_map
     eta_lists = (
         {vnf_id: etas for vnf_id, (_, etas) in
          zip(profile.vnf_ids, profile.node_terms)}
@@ -115,9 +70,9 @@ def exact_embed(
     )
 
     # Bottom-up DP. Children of a node must be solved before the node, so
-    # process virtual links in reverse BFS order.
-    subtree_cost: dict[int, dict[NodeId, float]] = {}
-    route_maps: dict[tuple[int, int], tuple[dict, dict]] = {}
+    # process virtual links in reverse BFS order. A route is the
+    # ``(parent_node, parent_link, dist)`` of one seeded search.
+    routes: dict[tuple[int, int], tuple[list, list, list]] = {}
 
     ordered = app.links_in_bfs_order()
     for vlink in reversed(ordered):
@@ -129,10 +84,10 @@ def exact_embed(
                 efficiency.node_eta(child, substrate.nodes[v])
                 for v in node_ids
             ]
-        place: dict[NodeId, float] = {}
+        place: list[tuple[int, float]] = []
         grand_links = app.children_links(child.id)
         size = child.size
-        for i, v in enumerate(node_ids):
+        for i in range(len(node_ids)):
             eta = etas[i]
             if eta is None:
                 continue
@@ -143,48 +98,44 @@ def exact_embed(
             extra = 0.0
             feasible = True
             for grand_link in grand_links:
-                routed = route_maps[grand_link.key][0]
-                if v not in routed:
+                routed = routes[grand_link.key][2]
+                if routed[i] == math.inf:
                     feasible = False
                     break
-                extra += routed[v]
+                extra += routed[i]
             if feasible:
-                place[v] = cost + extra
+                place.append((i, cost + extra))
         if not place:
             return None
-        subtree_cost[child.id] = place
-        link_load = demand * vlink.size
-        route_maps[vlink.key] = _multi_source_dijkstra(
-            substrate, link_residual, link_cost, place, link_load
+        _, parent_node, parent_link, dist, _ = cheapest_host_search(
+            index.adj, index.link_cost_list, place, demand * vlink.size,
+            residual.link_residual, math.inf, node_costs,
+            index.min_node_cost, node_residual,
         )
+        routes[vlink.key] = parent_node, parent_link, dist
 
     # Root: θ is pinned to the ingress with β = 0.
-    total = 0.0
+    ingress = index.node_index[request.ingress]
     for vlink in app.children_links(ROOT_ID):
-        routed = route_maps[vlink.key][0]
-        if request.ingress not in routed:
+        if routes[vlink.key][2][ingress] == math.inf:
             return None
-        total += routed[request.ingress]
 
-    # Top-down reconstruction following the Dijkstra parent pointers.
+    # Top-down reconstruction following the search trees' parents.
     node_map: dict[int, NodeId] = {ROOT_ID: request.ingress}
     link_paths: dict[tuple[int, int], tuple] = {}
-    stack = [(ROOT_ID, request.ingress)]
+    stack = [(ROOT_ID, ingress)]
     while stack:
         vnf_id, host = stack.pop()
         for vlink in app.children_links(vnf_id):
-            _, parents = route_maps[vlink.key]
-            links = []
-            node = host
-            while node in parents:
-                prev, link = parents[node]
-                links.append(link)
-                node = prev
-            # ``node`` is now the seed (child placement); the walked links
-            # lead host→seed, which is the virtual link's path.
-            node_map[vlink.head] = node
-            link_paths[vlink.key] = tuple(links)
-            stack.append((vlink.head, node))
+            parent_node, parent_link, _ = routes[vlink.key]
+            seed, positions = tree_path(parent_node, parent_link, host)
+            # The seed is the child's placement; the tree path leads
+            # seed→host, so the virtual link's path is its reverse.
+            node_map[vlink.head] = node_ids[seed]
+            link_paths[vlink.key] = tuple(
+                index.link_ids[p] for p in reversed(positions)
+            )
+            stack.append((vlink.head, seed))
 
     embedding = Embedding(node_map=node_map, link_paths=link_paths)
     loads = compute_loads(app, demand, embedding, substrate, efficiency)

@@ -9,10 +9,14 @@ virtual links are routed on capacity-feasible shortest paths.
 
 Included as an extra comparison point beyond the paper's three baselines:
 it shares QUICKG's online per-request operation but spreads load by rank
-instead of collocating by cost.
+instead of collocating by cost. Its link routes use the shared
+:func:`~repro.utils.paths.cheapest_host_search` with
+``node_load=math.inf``, reading the residual lists by position.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.ledger import LedgerAlgorithm
 from repro.core.residual import ResidualState
 from repro.substrate.network import NodeId, SubstrateNetwork
-from repro.utils.paths import capacity_constrained_dijkstra, path_links
+from repro.utils.paths import cheapest_host_search, tree_path
 from repro.workload.request import Request
 
 #: Damping factor of the rank Markov chain (PageRank convention).
@@ -44,12 +48,13 @@ def compute_node_ranks(
     """
     nodes = list(substrate.nodes)
     index = {v: i for i, v in enumerate(nodes)}
+    link_residual = residual.link_residual
     intrinsic = np.zeros(len(nodes))
-    for i, v in enumerate(nodes):
-        free_bandwidth = sum(
-            residual.links[link] for _, link in substrate.adjacency[v]
+    for i, incident in enumerate(residual.index.adj):
+        free_bandwidth = sum(link_residual[link] for _, link in incident)
+        intrinsic[i] = (
+            max(residual.node_residual[i], 0.0) * max(free_bandwidth, 1.0)
         )
-        intrinsic[i] = max(residual.nodes[v], 0.0) * max(free_bandwidth, 1.0)
     total = intrinsic.sum()
     if total <= 0:
         return {v: 0.0 for v in nodes}
@@ -104,6 +109,8 @@ class NodeRankAlgorithm(LedgerAlgorithm):
     ) -> Embedding | None:
         """Greedy rank-first node mapping + shortest-path link mapping."""
         ranked = self._ranked_nodes()
+        index = self.residual.index
+        node_residual = self.residual.node_residual
         node_map: dict[int, NodeId] = {ROOT_ID: request.ingress}
         # Track node consumption during mapping so two virtual nodes do not
         # jointly overshoot one substrate node.
@@ -118,7 +125,7 @@ class NodeRankAlgorithm(LedgerAlgorithm):
                     continue
                 load = request.demand * vnf.size * eta
                 used = provisional.get(candidate, 0.0)
-                if load + used <= self.residual.nodes[candidate]:
+                if load + used <= node_residual[index.node_index[candidate]]:
                     node_map[vnf.id] = candidate
                     provisional[candidate] = used + load
                     placed = True
@@ -127,7 +134,7 @@ class NodeRankAlgorithm(LedgerAlgorithm):
                 return None
         # Link mapping: per-virtual-link capacity-feasible shortest path.
         link_paths: dict[tuple[int, int], tuple] = {}
-        provisional_links: dict = {}
+        provisional_links: dict[int, float] = {}  # link position → load
         for vlink in app.links:
             source = node_map[vlink.tail]
             target = node_map[vlink.head]
@@ -135,25 +142,30 @@ class NodeRankAlgorithm(LedgerAlgorithm):
                 link_paths[vlink.key] = ()
                 continue
             load = request.demand * vlink.size
-
-            def feasible(link, load=load):
-                used = provisional_links.get(link, 0.0)
-                return self.residual.links[link] >= load + used
-
-            dist, parent = capacity_constrained_dijkstra(
-                self.substrate.adjacency,
-                source,
-                link_weight=lambda l: load * self.substrate.link_cost(l),
-                link_feasible=feasible,
+            # A link this request already loads must carry ``load + used``;
+            # the search only tests ``residual >= load``, so such a link
+            # reads -inf where the wider test fails.
+            link_residual = self.residual.link_residual
+            if provisional_links:
+                link_residual = list(link_residual)
+                for link, used in provisional_links.items():
+                    if link_residual[link] < load + used:
+                        link_residual[link] = -math.inf
+            _, parent_node, parent_link, dist, _ = cheapest_host_search(
+                index.adj, index.link_cost_list,
+                ((index.node_index[source], 0.0),), load, link_residual,
+                math.inf, index.node_cost_list, index.min_node_cost,
+                node_residual,
             )
-            if target not in dist:
+            end = index.node_index[target]
+            if dist[end] == math.inf:
                 return None
-            path = tuple(path_links(parent, source, target))
+            _, path = tree_path(parent_node, parent_link, end)
             for link in path:
                 provisional_links[link] = (
                     provisional_links.get(link, 0.0) + load
                 )
-            link_paths[vlink.key] = path
+            link_paths[vlink.key] = tuple(index.link_ids[p] for p in path)
         return Embedding(node_map=node_map, link_paths=link_paths)
 
     def _embed(

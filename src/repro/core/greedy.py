@@ -1,15 +1,15 @@
 """GREEDYEMBED: collocated least-cost embedding (Algorithm 2, lines 31–34).
 
 The paper states it as one capacity-constrained shortest-path run from
-the ingress plus one host scan per request; that scalar reference lives
-unchanged in :mod:`repro.core.greedy_reference`. This module produces
-bit-identical embeddings faster, one search per route over the
-:class:`~repro.substrate.network.SubstrateIndex` adjacency that reads the
-live ``residual.link_residual`` list inside the relaxation, with the
-reference's relaxation order, heap tie-breaking and arithmetic. Nothing
-is memoized between requests. Every route is one
+the ingress plus one host scan per request;
+:mod:`repro.core.greedy_reference` keeps exactly that — the whole tree,
+then a scan over every node — as the frozen oracle. This module produces
+bit-identical embeddings faster. Every route is one
 :func:`~repro.utils.paths.cheapest_host_search`
-(:meth:`GreedyContext._route`); the shape of η in the
+(:meth:`GreedyContext._route`) over the
+:class:`~repro.substrate.network.SubstrateIndex` adjacency that reads the
+live ``residual.link_residual`` list inside the relaxation; nothing is
+memoized between requests. The shape of η in the
 :class:`~repro.core.profile.AppProfile` selects how far it walks:
 
 * **Node-independent η — the fused search**: every node would carry the
@@ -44,35 +44,8 @@ from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.profile import AppProfile, AppProfileCache
 from repro.core.residual import ResidualState
 from repro.substrate.network import SubstrateNetwork
-from repro.utils.paths import cheapest_host_search
+from repro.utils.paths import cheapest_host_search, tree_path
 from repro.workload.request import Request
-
-
-class _RouteTree:
-    """The throwaway shortest-path tree of one Dijkstra run."""
-
-    __slots__ = ("source", "parent_node", "parent_link")
-
-    def __init__(self, source, parent_node, parent_link):
-        self.source = source
-        self.parent_node = parent_node
-        self.parent_link = parent_link
-
-    def path_to(self, target: int, link_ids) -> tuple[tuple, list[int]]:
-        """The tree path source→target: (LinkId tuple, link positions)."""
-        links = []
-        positions = []
-        node = target
-        parent_node = self.parent_node
-        parent_link = self.parent_link
-        while node != self.source:
-            position = parent_link[node]
-            positions.append(position)
-            links.append(link_ids[position])
-            node = parent_node[node]
-        links.reverse()
-        positions.reverse()
-        return tuple(links), positions
 
 
 class GreedyContext:
@@ -99,21 +72,22 @@ class GreedyContext:
         self.settled_nodes = 0
 
     def _route(self, source: int, load: float, node_load: float = math.inf):
-        """``(tree, distances, host index)`` of one shortest-path query:
-        a fresh capacity-constrained Dijkstra over the links whose
-        current residual covers ``load``. With a ``node_load`` it stops
-        at the cheapest node that can carry it (``-1`` when there is
-        none), and tree and distances cover only what it settled, the
-        host's path included; without one it walks the whole tree."""
+        """``(host index, parent_node, parent_link, distances)`` of one
+        shortest-path query: a fresh capacity-constrained Dijkstra from
+        ``source`` over the links whose current residual covers
+        ``load``. With a ``node_load`` it stops at the cheapest node that
+        can carry it (``-1`` when there is none), and tree and distances
+        cover only what it settled, the host's path included; without
+        one it walks the whole tree."""
         self.direct_routes += 1
         index = self.index
         host, parent_node, parent_link, dist, settled = cheapest_host_search(
-            index.adj, index.link_cost_list, source, load,
+            index.adj, index.link_cost_list, ((source, 0.0),), load,
             self.residual.link_residual, node_load, index.node_cost_list,
             index.min_node_cost, self.residual.node_residual,
         )
         self.settled_nodes += settled
-        return _RouteTree(source, parent_node, parent_link), dist, host
+        return host, parent_node, parent_link, dist
 
     def stats(self) -> dict:
         """Operational counters for bench rows and diagnostics."""
@@ -185,15 +159,17 @@ def _single_host_embed(
     source = index.node_index[request.ingress]
     node_load = profile.group_load("all", request.demand)
     if isinstance(node_load, float):
-        tree, _, host_idx = ctx._route(source, route_load, node_load)
+        host_idx, parent_node, parent_link, _ = ctx._route(
+            source, route_load, node_load
+        )
         if host_idx < 0:
             return None
     else:
-        tree, dist, _ = ctx._route(source, route_load)
+        _, parent_node, parent_link, dist = ctx._route(source, route_load)
         dist_array = np.array(dist)
         with np.errstate(invalid="ignore"):
             candidates = (
-                (node_load <= residual.node_array())
+                (node_load <= np.array(residual.node_residual))
                 & np.isfinite(dist_array)
             )
         if not candidates.any():
@@ -205,7 +181,8 @@ def _single_host_embed(
     # Tree path, exact collocated loads, and the reference's single fits
     # check on the chosen host (infeasible → reject, never the next-best).
     host = index.node_ids[host_idx]
-    path, positions = tree.path_to(host_idx, index.link_ids)
+    _, positions = tree_path(parent_node, parent_link, host_idx)
+    path = tuple([index.link_ids[position] for position in positions])
     loads = _collocated_loads(
         profile, request.demand, host_idx, host, positions, index.link_ids
     )
@@ -254,10 +231,17 @@ def _collocated_loads(
     return loads
 
 
-def _feasible_hosts(load_row, node_array) -> list[tuple[int, float]]:
+def _links_to(route, target: int, link_ids) -> tuple:
+    """The LinkId path from a :meth:`GreedyContext._route`'s source to
+    ``target``."""
+    _, positions = tree_path(route[1], route[2], target)
+    return tuple([link_ids[position] for position in positions])
+
+
+def _feasible_hosts(load_row, node_residual) -> list[tuple[int, float]]:
     """Host candidates ``(node_idx, load)`` in node order."""
     with np.errstate(invalid="ignore"):
-        mask = load_row <= node_array
+        mask = load_row <= node_residual
     if isinstance(load_row, float):
         return [(int(i), load_row) for i in np.nonzero(mask)[0]]
     return [(int(i), float(load_row[i])) for i in np.nonzero(mask)[0]]
@@ -299,24 +283,24 @@ def _two_host_embed(
     need_cross = ("generic", "gpu") in pairs_present
 
     # Node check first: a request no node can host never routes.
-    node_array = residual.node_array()
+    node_residual = np.array(residual.node_residual)
     generic_hosts = _feasible_hosts(
-        profile.group_load("generic", demand), node_array
+        profile.group_load("generic", demand), node_residual
     )
     gpu_hosts = _feasible_hosts(
-        profile.group_load("gpu", demand), node_array
+        profile.group_load("gpu", demand), node_residual
     )
     if not generic_hosts or not gpu_hosts:
         return None
 
     source = index.node_index[request.ingress]
-    tree_v, dist_v, _ = ctx._route(source, root_generic)
-    tree_w, dist_w, _ = ctx._route(source, root_gpu)
+    route_v = ctx._route(source, root_generic)
+    route_w = ctx._route(source, root_gpu)
+    dist_v = route_v[3]
+    dist_w = route_w[3]
 
     # One tree per GPU host candidate covers all v→w pair paths.
     gpu_routes = {w: ctx._route(w, cross) for w, _ in gpu_hosts}
-    gpu_trees = {w: route[0] for w, route in gpu_routes.items()}
-    gpu_dists = {w: route[1] for w, route in gpu_routes.items()}
 
     node_cost = index.node_cost
     inf = math.inf
@@ -331,7 +315,7 @@ def _two_host_embed(
             if dist_w[w] == inf:
                 continue
             cost += dist_w[w]
-        dist_cross = gpu_dists[w]
+        dist_cross = gpu_routes[w][3]
         if need_cross:
             if dist_cross[v] == inf:
                 continue
@@ -358,17 +342,17 @@ def _two_host_embed(
                 if dist_v[v] == inf:
                     feasible = False
                     break
-                links, _ = tree_v.path_to(v, index.link_ids)
+                links = _links_to(route_v, v, index.link_ids)
             elif pair == ("gpu", "root"):
                 if dist_w[w] == inf:
                     feasible = False
                     break
-                links, _ = tree_w.path_to(w, index.link_ids)
+                links = _links_to(route_w, w, index.link_ids)
             else:
                 if dist_cross[v] == inf:
                     feasible = False
                     break
-                links, _ = gpu_trees[w].path_to(v, index.link_ids)
+                links = _links_to(gpu_routes[w], v, index.link_ids)
             link_paths[vlink.key] = links
         if not feasible:
             continue

@@ -1,25 +1,34 @@
-"""Reference GREEDYEMBED: the pre-fast-path scalar implementation.
+"""Reference GREEDYEMBED: the scalar oracle of the fast path.
 
-This module is a frozen copy of the original per-request implementation of
-Algorithm 2's GREEDYEMBED (full Dijkstra from the ingress plus an O(nodes)
-candidate scan per request). It exists for one purpose: the decision-
-equivalence tests drive whole simulations through it and assert that the
-incremental fast path in :mod:`repro.core.greedy` produces bit-identical
-:class:`~repro.sim.engine.SimulationResult` values. Do not optimize this
-module — its value is that it stays simple and obviously faithful to
-Algorithm 2 (lines 31-34).
+This module keeps Algorithm 2's GREEDYEMBED (lines 31–34) in its plainest
+form: one whole shortest-path tree from the ingress, then a scan over
+every substrate node for the cheapest one that can host the request. It
+exists for one purpose: the decision-equivalence tests drive whole
+simulations through it and assert that :mod:`repro.core.greedy`, whose
+search stops at the host, produces bit-identical
+:class:`~repro.sim.engine.SimulationResult` values.
+
+The tree comes from the one search every embedder shares,
+:func:`~repro.utils.paths.cheapest_host_search` with
+``node_load=math.inf`` (no host scoring, no early stop), whose
+relaxation ``tests/test_utils.py`` checks against a plain-loop twin.
+What is frozen here is everything around it — the whole-tree host scan,
+the group loads and the generic :func:`~repro.core.embedding.compute_loads`
+— so do not optimize this module: its value is that it stays simple and
+obviously faithful to Algorithm 2.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from repro.apps.application import ROOT_ID, Application, VNFKind
 from repro.apps.efficiency import EfficiencyModel
 from repro.core.embedding import Embedding, compute_loads
 from repro.core.residual import ResidualState
 from repro.substrate.network import NodeId, SubstrateNetwork
-from repro.utils.paths import capacity_constrained_dijkstra, path_links
+from repro.utils.paths import cheapest_host_search, tree_path
 from repro.workload.request import Request
 
 
@@ -70,22 +79,36 @@ def _group_node_load(
 
 
 def _route_dijkstra(
-    substrate: SubstrateNetwork,
-    residual: ResidualState,
-    source: NodeId,
-    link_load: float,
-):
-    """Min-cost paths from ``source`` using links with enough residual.
+    residual: ResidualState, source: NodeId, link_load: float
+) -> tuple[list[float], list[int], list[int]]:
+    """Min-cost paths from ``source`` using links with enough residual:
+    ``(dist, parent_node, parent_link)`` by substrate position, ``inf``
+    for the nodes it cannot reach.
 
     Link traversal cost is ``link_load × cost(link)`` — the per-slot price
     of carrying the crossing virtual links over that substrate link.
     """
-    return capacity_constrained_dijkstra(
-        substrate.adjacency,
-        source,
-        link_weight=lambda l: link_load * substrate.link_cost(l),
-        link_feasible=lambda l: residual.links[l] >= link_load,
+    index = residual.index
+    _, parent_node, parent_link, dist, _ = cheapest_host_search(
+        index.adj, index.link_cost_list, ((index.node_index[source], 0.0),),
+        link_load, residual.link_residual, math.inf, index.node_cost_list,
+        index.min_node_cost, residual.node_residual,
     )
+    return dist, parent_node, parent_link
+
+
+def _links_to(
+    residual: ResidualState, route, target: NodeId
+) -> tuple | None:
+    """The LinkId path a :func:`_route_dijkstra` tree takes to
+    ``target``, or None when the tree does not reach it."""
+    index = residual.index
+    dist, parent_node, parent_link = route
+    position = index.node_index[target]
+    if dist[position] == math.inf:
+        return None
+    _, positions = tree_path(parent_node, parent_link, position)
+    return tuple(index.link_ids[p] for p in positions)
 
 
 def _single_host_embed(
@@ -100,25 +123,24 @@ def _single_host_embed(
     root_links = app.children_links(ROOT_ID)
     route_load = request.demand * sum(link.size for link in root_links)
 
-    dist, parent = _route_dijkstra(
-        substrate, residual, request.ingress, route_load
-    )
+    route = _route_dijkstra(residual, request.ingress, route_load)
+    dist = route[0]
     best: tuple[float, NodeId] | None = None
-    for v, attrs in substrate.nodes.items():
-        if v not in dist:
+    for i, (v, attrs) in enumerate(substrate.nodes.items()):
+        if dist[i] == math.inf:
             continue
         node_load = _group_node_load(
             app, vnf_ids, request.demand, attrs, efficiency
         )
-        if node_load is None or node_load > residual.nodes[v]:
+        if node_load is None or node_load > residual.node_residual[i]:
             continue
-        cost = node_load * attrs.cost + dist[v]
+        cost = node_load * attrs.cost + dist[i]
         if best is None or cost < best[0]:
             best = (cost, v)
     if best is None:
         return None
     host = best[1]
-    path = tuple(path_links(parent, request.ingress, host) or ())
+    path = _links_to(residual, route, host) or ()
     node_map = {ROOT_ID: request.ingress}
     node_map.update({vnf_id: host for vnf_id in vnf_ids})
     link_paths = {}
@@ -177,50 +199,50 @@ def _two_host_embed(
     need_root_gpu = ("gpu", "root") in pairs_present
     need_cross = ("generic", "gpu") in pairs_present
 
-    dist_v, parent_v = _route_dijkstra(
-        substrate, residual, request.ingress, root_generic
-    )
-    dist_w, parent_w = _route_dijkstra(
-        substrate, residual, request.ingress, root_gpu
-    )
+    route_v = _route_dijkstra(residual, request.ingress, root_generic)
+    route_w = _route_dijkstra(residual, request.ingress, root_gpu)
 
     generic_hosts: list[tuple[NodeId, float]] = []
     gpu_hosts: list[tuple[NodeId, float]] = []
-    for node, attrs in substrate.nodes.items():
+    for i, (node, attrs) in enumerate(substrate.nodes.items()):
         load = _group_node_load(
             app, sorted(generic_ids), request.demand, attrs, efficiency
         )
-        if load is not None and load <= residual.nodes[node]:
+        if load is not None and load <= residual.node_residual[i]:
             generic_hosts.append((node, load))
         load = _group_node_load(
             app, sorted(gpu_ids), request.demand, attrs, efficiency
         )
-        if load is not None and load <= residual.nodes[node]:
+        if load is not None and load <= residual.node_residual[i]:
             gpu_hosts.append((node, load))
     if not generic_hosts or not gpu_hosts:
         return None
 
     # One Dijkstra per GPU host candidate covers all v→w pair paths.
     gpu_paths = {
-        w: _route_dijkstra(substrate, residual, w, cross) for w, _ in gpu_hosts
+        w: _route_dijkstra(residual, w, cross) for w, _ in gpu_hosts
     }
 
+    dist_v, dist_w = route_v[0], route_w[0]
+    node_index = residual.index.node_index
     best: tuple[float, Embedding] | None = None
     for (v, v_load), (w, w_load) in itertools.product(generic_hosts, gpu_hosts):
+        vi, wi = node_index[v], node_index[w]
         cost = v_load * substrate.node_cost(v) + w_load * substrate.node_cost(w)
         if need_root_generic:
-            if v not in dist_v:
+            if dist_v[vi] == math.inf:
                 continue
-            cost += dist_v[v]
+            cost += dist_v[vi]
         if need_root_gpu:
-            if w not in dist_w:
+            if dist_w[wi] == math.inf:
                 continue
-            cost += dist_w[w]
-        dist_cross, parent_cross = gpu_paths[w]
+            cost += dist_w[wi]
+        route_cross = gpu_paths[w]
+        dist_cross = route_cross[0]
         if need_cross:
-            if v not in dist_cross:
+            if dist_cross[vi] == math.inf:
                 continue
-            cost += dist_cross[v]
+            cost += dist_cross[vi]
         if best is not None and cost >= best[0]:
             continue
 
@@ -238,15 +260,15 @@ def _two_host_embed(
                 continue
             pair = tuple(sorted((group_a, group_b)))
             if pair == ("generic", "root"):
-                links = path_links(parent_v, request.ingress, v)
+                links = _links_to(residual, route_v, v)
             elif pair == ("gpu", "root"):
-                links = path_links(parent_w, request.ingress, w)
+                links = _links_to(residual, route_w, w)
             else:
-                links = path_links(parent_cross, w, v)
+                links = _links_to(residual, route_cross, v)
             if links is None:
                 feasible = False
                 break
-            link_paths[vlink.key] = tuple(links)
+            link_paths[vlink.key] = links
         if not feasible:
             continue
         embedding = Embedding(node_map=node_map, link_paths=link_paths)

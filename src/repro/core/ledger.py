@@ -104,9 +104,24 @@ class LedgerAlgorithm:
     # -- arrivals ------------------------------------------------------------
 
     def process(self, request: Request) -> Decision:
-        """Embed or reject one arriving request."""
+        """Embed or reject one arriving request.
+
+        A request this ledger cannot take — an id that is still active,
+        an ingress that is no substrate node, an application index out
+        of range — raises :class:`~repro.errors.SimulationError` and
+        books nothing.
+        """
         if request.id in self.active:
             raise SimulationError(f"request {request.id} processed twice")
+        if request.ingress not in self.substrate.nodes:
+            raise SimulationError(
+                f"request {request.id}: unknown ingress {request.ingress!r}"
+            )
+        if not 0 <= request.app_index < len(self.apps):
+            raise SimulationError(
+                f"request {request.id}: app_index {request.app_index} not "
+                f"in [0, {len(self.apps)})"
+            )
         return self._decide(request)
 
     def process_many(self, requests: list[Request]) -> list[Decision]:

@@ -14,10 +14,7 @@ which is precisely why they are preemptible later.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.embedding import ElementLoads
 from repro.errors import SimulationError
@@ -33,71 +30,15 @@ from repro.substrate.network import (
 EPSILON = 1e-6
 
 
-class _ArrayMapping(MutableMapping):
-    """Dict-compatible view over one position-indexed residual sequence.
-
-    Reads and writes go straight to the backing storage, so code that
-    predates the indexed backend (``residual.links[l] >= load``,
-    ``residual.nodes[v] = 15.0`` in tests) keeps working unchanged.
-    A node write bumps the owner's ``node_rev`` so its numpy snapshot
-    refreshes (see :meth:`ResidualState.node_array`).
-    """
-
-    __slots__ = ("_index", "_array", "_keys", "_owner", "_kind")
-
-    def __init__(self, index, array, keys, owner, kind):
-        self._index = index
-        self._array = array
-        self._keys = keys
-        self._owner = owner
-        self._kind = kind
-
-    def __getitem__(self, key) -> float:
-        return self._array[self._index[key]]
-
-    def __setitem__(self, key, value) -> None:
-        position = self._index[key]
-        self._array[position] = value
-        if self._kind == "node":
-            self._owner.node_rev += 1
-
-    def __delitem__(self, key) -> None:
-        raise SimulationError("residual elements cannot be removed")
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key) -> bool:
-        return key in self._index
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (dict, MutableMapping)):
-            return dict(self) == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
 class ResidualState:
     """Res(S, t, x): residual node and link capacities of the substrate.
 
     Residuals live in two plain-Python lists indexed by
     :class:`~repro.substrate.network.SubstrateIndex` positions (scalar
     bookkeeping — allocate/release/fits on a handful of elements — is
-    faster on native floats than on numpy scalars). Greedy routing reads
-    :attr:`link_residual` directly; the per-node-η and two-group host
-    scans read node residuals through :meth:`node_array`, a lazily
-    refreshed numpy snapshot keyed on :attr:`node_rev`. The
-    ``nodes``/``links`` attributes remain dict-compatible views for
-    pre-array code and tests.
+    faster on native floats than on numpy scalars). They are the only
+    representation: every reader, routing included, indexes them by
+    position.
     """
 
     def __init__(self, substrate: SubstrateNetwork) -> None:
@@ -115,25 +56,6 @@ class ResidualState:
         #: which is how stranded allocations are detected.
         self.node_capacity: list[float] = self.index.node_capacity.tolist()
         self.link_capacity: list[float] = self.index.link_capacity.tolist()
-        #: Revision counter of node-residual changes (array-cache key).
-        self.node_rev = 0
-        self._node_array: "np.ndarray | None" = None
-        self._node_array_rev = -1
-        self.nodes = _ArrayMapping(
-            self.index.node_index, self.node_residual,
-            self.index.node_ids, self, "node",
-        )
-        self.links = _ArrayMapping(
-            self.index.link_index, self.link_residual,
-            self.index.link_ids, self, "link",
-        )
-
-    def node_array(self) -> "np.ndarray":
-        """Current node residuals as a numpy snapshot (do not mutate)."""
-        if self._node_array_rev != self.node_rev:
-            self._node_array = np.array(self.node_residual)
-            self._node_array_rev = self.node_rev
-        return self._node_array
 
     def fits(self, loads: ElementLoads) -> bool:
         """Eq. 18: can these loads be added without violating capacity?"""
@@ -176,8 +98,6 @@ class ResidualState:
             # branching on the sign first keeps the common path cheap.
             if value < 0.0 and value < -EPSILON * (load if load > 1.0 else 1.0):
                 raise SimulationError(f"node {node!r} residual went negative")
-        if loads.nodes:
-            self.node_rev += 1
         link_index = self.index.link_index
         link_residual = self.link_residual
         for link, load in loads.links.items():
@@ -193,8 +113,6 @@ class ResidualState:
         node_residual = self.node_residual
         for node, load in loads.nodes.items():
             node_residual[node_index[node]] += load
-        if loads.nodes:
-            self.node_rev += 1
         link_index = self.index.link_index
         link_residual = self.link_residual
         for link, load in loads.links.items():
@@ -215,7 +133,6 @@ class ResidualState:
             return False
         self.node_capacity[position] = capacity
         self.node_residual[position] += delta
-        self.node_rev += 1
         return True
 
     def set_link_capacity(self, link, capacity: float) -> bool:

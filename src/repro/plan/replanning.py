@@ -82,9 +82,11 @@ class ReplanningOliveAlgorithm(OliveAlgorithm):
     # -- observation ---------------------------------------------------------
 
     def process(self, request: Request) -> Decision:
-        """Record every observed request (accepted or not), then embed."""
+        """Embed, then record the request (accepted or not) as observed;
+        one the ledger refuses is not observed."""
+        decision = super().process(request)
         self._observed.append(request)
-        return super().process(request)
+        return decision
 
     def on_slot(self, t: int) -> None:
         """Simulator hook: replan at each interval boundary (not at t=0)."""

@@ -51,8 +51,6 @@ class SubstrateIndex:
     node_cost_list: tuple[float, ...]
     #: Cheapest node cost — the bound the fused GREEDYEMBED search stops on.
     min_node_cost: float
-    #: Static LinkId → cost map for code that routes by link key.
-    link_cost_map: dict[LinkId, float]
 
     @classmethod
     def build(cls, substrate: "SubstrateNetwork") -> "SubstrateIndex":
@@ -87,9 +85,6 @@ class SubstrateIndex:
             ),
             node_cost_list=node_cost_list,
             min_node_cost=min(node_cost_list, default=0.0),
-            link_cost_map={
-                l: substrate.links[l].cost for l in link_ids
-            },
         )
 
     @property

@@ -1,21 +1,12 @@
 """Shared low-level utilities: seeding, filesystem roots, path helpers."""
 
-from repro.utils.paths import (
-    capacity_constrained_dijkstra,
-    data_root,
-    default_cache_root,
-    path_cost,
-    path_links,
-)
+from repro.utils.paths import data_root, default_cache_root
 from repro.utils.rng import child_rng, make_rng, spawn_rngs
 
 __all__ = [
     "make_rng",
     "child_rng",
     "spawn_rngs",
-    "capacity_constrained_dijkstra",
     "data_root",
     "default_cache_root",
-    "path_links",
-    "path_cost",
 ]

@@ -3,17 +3,18 @@
 The filesystem helpers give every on-disk artifact (the experiment result
 cache, future trace downloads) one well-known, overridable root.
 
-The shortest-path helpers operate on adjacency structures (``dict[node,
-list[(neighbor, link_key)]]``) rather than on networkx graphs directly,
-because the online algorithms call them in tight loops where networkx
-overhead dominates.
+The shortest-path helpers operate on position-indexed adjacency lists
+(a :class:`~repro.substrate.network.SubstrateIndex`'s ``adj``) rather
+than on networkx graphs directly, because the online algorithms call
+them in tight loops where networkx overhead dominates. There is one
+search, :func:`cheapest_host_search`; every embedder routes through it.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 #: Environment variable overriding every on-disk root at once.
@@ -48,60 +49,10 @@ def default_cache_root() -> Path:
     return data_root() / "results"
 
 
-def capacity_constrained_dijkstra(
-    adjacency: Mapping[object, Sequence[tuple[object, object]]],
-    source: object,
-    link_weight: Callable[[object], float],
-    link_feasible: Callable[[object], bool],
-) -> tuple[dict, dict]:
-    """Single-source min-cost paths using only feasible links.
-
-    Parameters
-    ----------
-    adjacency:
-        Maps each node to ``(neighbor, link_key)`` pairs. ``link_key``
-        identifies the undirected substrate link.
-    source:
-        Start node.
-    link_weight:
-        Returns a non-negative traversal cost for a link key.
-    link_feasible:
-        Returns ``False`` for links that must not be traversed (e.g., with
-        insufficient residual capacity).
-
-    Returns
-    -------
-    (dist, parent):
-        ``dist[v]`` is the min cost from ``source``; ``parent[v]`` is the
-        ``(predecessor, link_key)`` pair on an optimal path. Unreachable
-        nodes are absent from both maps.
-    """
-    dist: dict = {source: 0.0}
-    parent: dict = {}
-    heap: list[tuple[float, int, object]] = [(0.0, 0, source)]
-    counter = 1  # tie-breaker so heap never compares node objects
-    visited: set = set()
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        for neighbor, link in adjacency[node]:
-            if neighbor in visited or not link_feasible(link):
-                continue
-            candidate = d + link_weight(link)
-            if candidate < dist.get(neighbor, float("inf")):
-                dist[neighbor] = candidate
-                parent[neighbor] = (node, link)
-                heapq.heappush(heap, (candidate, counter, neighbor))
-                counter += 1
-    return dist, parent
-
-
 def cheapest_host_search(
     adj: Sequence[Sequence[tuple[int, int]]],
     link_costs: Sequence[float],
-    source: int,
+    seeds: Sequence[tuple[int, float]],
     load: float,
     link_residual: Sequence[float],
     node_load: float,
@@ -109,20 +60,20 @@ def cheapest_host_search(
     min_node_cost: float,
     node_residual: Sequence[float],
 ) -> tuple[int, list[int], list[int], list[float], int]:
-    """Integer-indexed twin of :func:`capacity_constrained_dijkstra`,
-    fused with GREEDYEMBED's host scan: it stops as soon as no farther
-    node can be the cheapest host.
+    """Capacity-constrained Dijkstra fused with GREEDYEMBED's host scan:
+    it stops as soon as no farther node can be the cheapest host.
 
     Operates on a :class:`~repro.substrate.network.SubstrateIndex`-style
-    adjacency (per-node ``(neighbor_idx, link_idx)`` pairs, in the same
-    per-node order as the dict adjacency), with traversal weight
-    ``load × link_costs[link]``; a link is traversable iff
-    ``link_residual[link] >= load``, tested inside the relaxation against
-    the caller's live residual sequence (nothing is materialized per
-    call). The relaxation sequence, heap tie-breaking counter and
-    floating-point accumulation mirror the dict version exactly, so for
-    the same inputs both produce bit-identical distances and the same
-    shortest-path tree over the nodes this one settles.
+    adjacency (per-node ``(neighbor_idx, link_idx)`` pairs), with
+    traversal weight ``load × link_costs[link]``; a link is traversable
+    iff ``link_residual[link] >= load``, tested inside the relaxation
+    against the caller's sequence (nothing is materialized per call).
+    The search starts from ``seeds``, distinct ``(node, initial
+    distance)`` pairs numbered for the heap's tie-breaking counter in the
+    order given: one ``(source, 0.0)`` for a single-source query, one per
+    candidate placement for FULLG's subtree DP. Relaxation order, heap
+    counter and floating-point accumulation are fixed, so equal inputs
+    give bit-identical distances and trees.
 
     Each node is scored as it is settled — ``node_load * node_costs[v] +
     dist[v]``, skipped when ``node_load > node_residual[v]`` — and the
@@ -148,21 +99,25 @@ def cheapest_host_search(
         ``host`` is the chosen node or ``-1`` when no reached node can
         carry ``node_load`` (the search then settled everything
         reachable). ``settled`` is the number of nodes settled, the
-        source included; ``parent_node`` / ``parent_link`` / ``dist`` are
-        final for those nodes (``-1`` parents for the source) and
-        tentative, or ``-1`` / ``math.inf``, for the rest.
+        seeds included; ``parent_node`` / ``parent_link`` / ``dist`` are
+        final for those nodes (``-1`` parents for a seed no path
+        undercuts, see :func:`tree_path`) and tentative, or ``-1`` /
+        ``math.inf``, for the rest.
     """
     num_nodes = len(adj)
     dist: list[float] = [float("inf")] * num_nodes
-    dist[source] = 0.0
+    heap: list[tuple[float, int, int]] = []
+    for counter, (node, start) in enumerate(seeds):
+        dist[node] = start
+        heap.append((start, counter, node))
+    heapq.heapify(heap)
+    counter = len(heap)  # tie-breaker: the heap never compares nodes
     parent_node = [-1] * num_nodes
     parent_link = [-1] * num_nodes
     visited = [False] * num_nodes
     settled = 0
     best_cost = float("inf")
     host = -1
-    heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
-    counter = 1  # tie-breaker, mirroring capacity_constrained_dijkstra
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
@@ -191,25 +146,18 @@ def cheapest_host_search(
     return host, parent_node, parent_link, dist, settled
 
 
-def path_links(parent: Mapping, source: object, target: object) -> list | None:
-    """Reconstruct the list of link keys from ``source`` to ``target``.
+def tree_path(
+    parent_node: Sequence[int], parent_link: Sequence[int], target: int
+) -> tuple[int, list[int]]:
+    """``(root, link positions root → target)`` in a search tree.
 
-    Returns ``None`` when ``target`` was not reached. The path for
-    ``target == source`` is the empty list.
+    Follows :func:`cheapest_host_search`'s parent lists from a settled
+    ``target`` back to the seed its path starts at; a seed's own path is
+    empty.
     """
-    if target == source:
-        return []
-    if target not in parent:
-        return None
     links = []
-    node = target
-    while node != source:
-        node, link = parent[node]
-        links.append(link)
+    while parent_node[target] >= 0:
+        links.append(parent_link[target])
+        target = parent_node[target]
     links.reverse()
-    return links
-
-
-def path_cost(links: Sequence, link_weight: Callable[[object], float]) -> float:
-    """Total traversal cost of a link sequence."""
-    return sum(link_weight(link) for link in links)
+    return target, links

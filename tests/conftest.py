@@ -154,6 +154,24 @@ def assert_preemptible_is_derived(algorithm) -> None:
     assert all(a is b for (_, a), (_, b) in zip(actual, expected))
 
 
+def residual_of_node(residual, node) -> float:
+    """A :class:`~repro.core.residual.ResidualState` node residual, by id."""
+    return residual.node_residual[residual.index.node_index[node]]
+
+
+def residual_of_link(residual, link) -> float:
+    """A :class:`~repro.core.residual.ResidualState` link residual, by id."""
+    return residual.link_residual[residual.index.link_index[link]]
+
+
+def set_node_residual(residual, node, value: float) -> None:
+    residual.node_residual[residual.index.node_index[node]] = value
+
+
+def set_link_residual(residual, link, value: float) -> None:
+    residual.link_residual[residual.index.link_index[link]] = value
+
+
 def make_line_substrate(
     node_capacity: float = 1000.0,
     link_capacity: float = 500.0,

@@ -1,6 +1,7 @@
 """Unit tests for the baselines: QUICKG, FULLG, SLOTOFF."""
 
 import itertools
+import math
 
 import pytest
 
@@ -11,9 +12,14 @@ from repro.baselines.slotoff import SlotOffAlgorithm
 from repro.core.embedding import Embedding, compute_loads
 from repro.core.residual import ResidualState
 from repro.plan.formulation import PlanVNEConfig
-from repro.utils.paths import capacity_constrained_dijkstra, path_links
+from repro.utils.paths import cheapest_host_search, tree_path
 from repro.workload.request import Request
-from tests.conftest import make_line_substrate, make_two_vnf_chain
+from tests.conftest import (
+    make_line_substrate,
+    make_two_vnf_chain,
+    set_link_residual,
+    set_node_residual,
+)
 
 
 def _request(rid=1, demand=1.0, ingress="edge-a", arrival=0, duration=5, app=0):
@@ -50,18 +56,19 @@ def _brute_force_min_cost(request, app, substrate, residual):
         ok = True
         for vlink in app.links:
             load = request.demand * vlink.size
-            dist, parent = capacity_constrained_dijkstra(
-                substrate.adjacency,
-                node_map[vlink.tail],
-                lambda l, load=load: load * substrate.link_cost(l),
-                lambda l, load=load: residual.links[l] >= load,
+            index = residual.index
+            _, parent_node, parent_link, dist, _ = cheapest_host_search(
+                index.adj, index.link_cost_list,
+                ((index.node_index[node_map[vlink.tail]], 0.0),), load,
+                residual.link_residual, math.inf, index.node_cost_list,
+                index.min_node_cost, residual.node_residual,
             )
-            if node_map[vlink.head] not in dist:
+            head = index.node_index[node_map[vlink.head]]
+            if dist[head] == math.inf:
                 ok = False
                 break
-            link_paths[vlink.key] = tuple(
-                path_links(parent, node_map[vlink.tail], node_map[vlink.head])
-            )
+            _, path = tree_path(parent_node, parent_link, head)
+            link_paths[vlink.key] = tuple(index.link_ids[p] for p in path)
         if not ok:
             continue
         embedding = Embedding(node_map=node_map, link_paths=link_paths)
@@ -100,8 +107,9 @@ class TestFullG:
     def test_matches_brute_force_under_partial_load(self, chain_app):
         substrate = make_line_substrate(node_capacity=200.0, link_capacity=50.0)
         residual = ResidualState(substrate)
-        residual.nodes["core"] = 15.0  # cheapest node nearly full
-        residual.links[("core", "transport")] = 4.0  # and hard to reach
+        set_node_residual(residual, "core", 15.0)  # cheapest node nearly full
+        # ... and hard to reach
+        set_link_residual(residual, ("core", "transport"), 4.0)
         request = _request(demand=1.0)
         embedding = exact_embed(
             request, chain_app, substrate, UniformEfficiency(), residual
@@ -116,8 +124,7 @@ class TestFullG:
 
     def test_rejects_when_no_capacity(self, line_substrate, chain_app):
         residual = ResidualState(line_substrate)
-        for node in residual.nodes:
-            residual.nodes[node] = 0.5
+        residual.node_residual[:] = [0.5] * len(residual.node_residual)
         assert (
             exact_embed(
                 _request(), chain_app, line_substrate, UniformEfficiency(),
@@ -132,10 +139,10 @@ class TestFullG:
         decision = fullg.process(request)
         assert decision.accepted
         assert fullg.active_demand() == pytest.approx(3.0)
-        before = dict(fullg.residual.nodes)
+        before = list(fullg.residual.node_residual)
         fullg.release(request)
         assert fullg.active_demand() == 0.0
-        assert fullg.residual.nodes != before  # capacity restored
+        assert fullg.residual.node_residual != before  # capacity restored
 
     def test_spreads_when_capacity_forces_it(self):
         """A VNF too big for the cheap node lands elsewhere; the rest stay."""
@@ -152,7 +159,8 @@ class TestFullG:
         )
         substrate = make_line_substrate(node_capacity=500.0, link_capacity=500.0)
         residual = ResidualState(substrate)
-        residual.nodes["core"] = 25.0  # fits v1 (10) but not v2 (30)
+        # fits v1 (10) but not v2 (30)
+        set_node_residual(residual, "core", 25.0)
         request = _request(demand=1.0)
         embedding = exact_embed(
             request, app, substrate, UniformEfficiency(), residual
@@ -170,8 +178,7 @@ class TestFullG:
         # Every node fits one VNF (20 each at demand 2 → 40 jointly) but
         # none fits both; the DP collocates on the cheapest and the exact
         # feasibility check refuses. Conservative: reject, never violate.
-        for node in residual.nodes:
-            residual.nodes[node] = 25.0
+        residual.node_residual[:] = [25.0] * len(residual.node_residual)
         request = _request(demand=2.0)
         embedding = exact_embed(
             request, chain_app, substrate, UniformEfficiency(), residual

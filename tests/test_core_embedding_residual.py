@@ -9,6 +9,7 @@ from repro.core.residual import PlanResidual, ResidualState
 from repro.errors import SimulationError
 from repro.plan.pattern import ClassPlan, EmbeddingPattern, Plan
 from repro.stats.aggregate import AggregateRequest
+from tests.conftest import residual_of_link, residual_of_node
 
 
 @pytest.fixture
@@ -79,8 +80,8 @@ class TestComputeLoads:
 class TestResidualState:
     def test_initial_residual_equals_capacity(self, line_substrate):
         residual = ResidualState(line_substrate)
-        assert residual.nodes["edge-a"] == 1000.0
-        assert residual.links[("edge-a", "transport")] == 500.0
+        assert residual_of_node(residual, "edge-a") == 1000.0
+        assert residual_of_link(residual, ("edge-a", "transport")) == 500.0
 
     def test_allocate_release_roundtrip(self, line_substrate):
         residual = ResidualState(line_substrate)
@@ -88,9 +89,9 @@ class TestResidualState:
             nodes={"edge-a": 100.0}, links={("edge-a", "transport"): 50.0}
         )
         residual.allocate(loads)
-        assert residual.nodes["edge-a"] == 900.0
+        assert residual_of_node(residual, "edge-a") == 900.0
         residual.release(loads)
-        assert residual.nodes["edge-a"] == 1000.0
+        assert residual_of_node(residual, "edge-a") == 1000.0
 
     def test_fits_boundary(self, line_substrate):
         residual = ResidualState(line_substrate)

@@ -10,7 +10,12 @@ from repro.core.residual import ResidualState
 from repro.substrate.network import LinkAttrs, NodeAttrs, SubstrateNetwork
 from repro.substrate.tiers import Tier
 from repro.workload.request import Request
-from tests.conftest import make_line_substrate, make_two_vnf_chain
+from tests.conftest import (
+    make_line_substrate,
+    make_two_vnf_chain,
+    set_link_residual,
+    set_node_residual,
+)
 
 
 def _request(demand=1.0, ingress="edge-a"):
@@ -47,7 +52,8 @@ class TestSingleHostGreedy:
         # Make core too small for the request; transport next-cheapest.
         substrate = make_line_substrate(node_capacity=1000.0)
         residual = ResidualState(substrate)
-        residual.nodes["core"] = 10.0  # below the 20-unit footprint
+        # below the 20-unit footprint
+        set_node_residual(residual, "core", 10.0)
         embedding = greedy_embed(
             _request(), chain_app, substrate, UniformEfficiency(), residual
         )
@@ -57,7 +63,7 @@ class TestSingleHostGreedy:
         substrate = make_line_substrate()
         residual = ResidualState(substrate)
         # Block the only uplink: the request (link load 5) can't leave edge-a.
-        residual.links[("edge-a", "transport")] = 1.0
+        set_link_residual(residual, ("edge-a", "transport"), 1.0)
         embedding = greedy_embed(
             _request(), chain_app, substrate, UniformEfficiency(), residual
         )
@@ -67,8 +73,7 @@ class TestSingleHostGreedy:
     def test_returns_none_when_nothing_fits(self, chain_app):
         substrate = make_line_substrate()
         residual = ResidualState(substrate)
-        for node in residual.nodes:
-            residual.nodes[node] = 1.0
+        residual.node_residual[:] = [1.0] * len(residual.node_residual)
         assert (
             greedy_embed(
                 _request(), chain_app, substrate, UniformEfficiency(), residual

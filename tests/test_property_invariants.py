@@ -13,7 +13,8 @@ the shared ledger (OLIVE, QUICKG, OLIVE-W, FULLG, NODERANK):
    ground truth.
 
 A third is checked once per algorithm: an id offered again while it is
-still active is refused and books nothing. A fourth after every slot
+still active is refused and books nothing, and so is a request whose
+ingress or application index the ledger does not know. A fourth after every slot
 again: the ledger's ``preemptible`` index is the non-planned rows of
 ``active`` — across reroute events, ``switch_plan`` and a restore.
 
@@ -23,6 +24,8 @@ trace, PLAN-VNE plan, windowed plans — at miniature scale.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +42,11 @@ from repro.scenarios.events import capacity_invariant_gap
 from repro.serve import EmbedderService
 from repro.sim.engine import simulate
 from repro.sim.session import SimulationSession
-from tests.conftest import assert_preemptible_is_derived
+from tests.conftest import (
+    assert_preemptible_is_derived,
+    residual_of_link,
+    residual_of_node,
+)
 
 # OLIVE-W recomputes a windowed plan schedule per hypothesis example,
 # pushing its parametrizations past the 10 s line — they move to the
@@ -168,11 +175,11 @@ def test_residual_plus_active_loads_is_capacity(algorithm, seed, utilization):
             for link, load in loads.links.items():
                 expected_links[link] -= load
         for node, expected in expected_nodes.items():
-            assert alg.residual.nodes[node] == pytest.approx(
+            assert residual_of_node(alg.residual, node) == pytest.approx(
                 expected, abs=1e-6 * max(1.0, abs(expected))
             ), (algorithm, t, node)
         for link, expected in expected_links.items():
-            assert alg.residual.links[link] == pytest.approx(
+            assert residual_of_link(alg.residual, link) == pytest.approx(
                 expected, abs=1e-6 * max(1.0, abs(expected))
             ), (algorithm, t, link)
 
@@ -213,20 +220,32 @@ def test_preemptible_is_the_non_planned_rows(algorithm):
 def test_reoffered_active_id_is_refused_and_books_nothing(algorithm):
     """A second ``process()`` of an id that is still active raises and
     changes nothing: the one ``release()`` returns all of its capacity.
-    The same through the service's ``offer()``."""
+    So does a request whose ingress is no substrate node or whose
+    application index is out of range. The same through the service's
+    ``offer()``."""
     scenario = _scenario(0, 1.0)
     slots = scenario.config.online_slots
     request = next(
         r for r in scenario.online_requests() if r.departure < slots
     )
+    fresh = max(r.id for r in scenario.online_requests()) + 1
+    refused = [(request, "processed twice")] + [
+        (replace(request, id=fresh + i, **change), match)
+        for i, (change, match) in enumerate([
+            ({"ingress": "no-such-node"}, "ingress"),
+            ({"app_index": -1}, "app_index"),
+            ({"app_index": len(scenario.apps)}, "app_index"),
+        ])
+    ]
 
     alg = _build(algorithm, scenario)
     assert alg.process(request).accepted
     booked = (
         list(alg.residual.node_residual), list(alg.residual.link_residual)
     )
-    with pytest.raises(SimulationError, match="processed twice"):
-        alg.process(request)
+    for bad, match in refused:
+        with pytest.raises(SimulationError, match=match):
+            alg.process(bad)
     assert list(alg.active) == [request.id]
     assert booked == (
         list(alg.residual.node_residual), list(alg.residual.link_residual)
@@ -240,8 +259,9 @@ def test_reoffered_active_id_is_refused_and_books_nothing(algorithm):
         SimulationSession(_build(algorithm, scenario), (), slots)
     )
     assert service.offer(request).accepted
-    with pytest.raises(SimulationError, match="processed twice"):
-        service.offer(request)
+    for bad, match in refused:
+        with pytest.raises(SimulationError, match=match):
+            service.offer(bad)
     assert capacity_invariant_gap(service.algorithm) == 0
     service.advance_to(request.departure + 1)
     assert [d.request for d in service.result().decisions] == [request]

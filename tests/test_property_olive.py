@@ -16,7 +16,12 @@ from repro.core.olive import OliveAlgorithm
 from repro.plan.pattern import ClassPlan, EmbeddingPattern, Plan
 from repro.stats.aggregate import AggregateRequest
 from repro.workload.request import Request
-from tests.conftest import make_line_substrate, make_two_vnf_chain
+from tests.conftest import (
+    make_line_substrate,
+    make_two_vnf_chain,
+    residual_of_link,
+    residual_of_node,
+)
 
 
 @st.composite
@@ -89,12 +94,12 @@ def _check_bookkeeping(algorithm, substrate, apps, requests):
             for link, load in loads.links.items():
                 expected_links[link] -= load
         for node, expected in expected_nodes.items():
-            assert algorithm.residual.nodes[node] == pytest.approx(
+            assert residual_of_node(algorithm.residual, node) == pytest.approx(
                 expected, abs=1e-6
             ), (t, node)
             assert expected >= -1e-6, f"capacity violated at {node}"
         for link, expected in expected_links.items():
-            assert algorithm.residual.links[link] == pytest.approx(
+            assert residual_of_link(algorithm.residual, link) == pytest.approx(
                 expected, abs=1e-6
             ), (t, link)
             assert expected >= -1e-6, f"capacity violated at {link}"

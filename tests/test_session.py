@@ -28,6 +28,7 @@ from repro.sim.engine import simulate
 from repro.sim.session import SessionSnapshot, SimulationSession
 from repro.workload.request import Request
 from tests.test_core_olive import line_olive, transport_borrowers
+from tests.conftest import residual_of_node
 
 
 def _request(rid, arrival=0, demand=1.0, duration=3, ingress="edge-a", app=0):
@@ -265,7 +266,9 @@ class TestProcess:
         assert retry.id in olive.active
         report = session.step()
         assert report.departures == (retry,) and not olive.active
-        assert olive.residual.nodes["transport"] == pytest.approx(3000.0)
+        assert residual_of_node(olive.residual, "transport") == (
+            pytest.approx(3000.0)
+        )
 
     def test_batch_algorithm_cannot_stream(self, line_substrate, chain_app):
         session = SimulationSession(

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.paths import (
-    capacity_constrained_dijkstra,
-    cheapest_host_search,
-    path_cost,
-    path_links,
-)
+from repro.utils.paths import cheapest_host_search, tree_path
 from repro.utils.rng import child_rng, make_rng, spawn_rngs
 
 
@@ -48,64 +43,58 @@ class TestRng:
         assert draws[0] != draws[1] != draws[2]
 
 
-def _square_adjacency():
-    """4-cycle a-b-c-d with a diagonal a-c."""
-    links = {
-        ("a", "b"): 1.0,
-        ("b", "c"): 1.0,
-        ("c", "d"): 1.0,
-        ("a", "d"): 1.0,
-        ("a", "c"): 5.0,
-    }
-    adjacency = {n: [] for n in "abcd"}
-    for (u, v) in links:
-        adjacency[u].append((v, (u, v)))
-        adjacency[v].append((u, (u, v)))
-    return adjacency, links
+def _square_tree(link_residual=(1.0,) * 5, seeds=((0, 0.0),)):
+    """Whole tree over the 4-cycle a-b-c-d (nodes 0-3) with a diagonal
+    a-c: links a-b, b-c, c-d, a-d at cost 1.0 and a-c at 5.0, all
+    carrying load 1.0 where their residual allows."""
+    links = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+    host, parent_node, parent_link, dist, settled = cheapest_host_search(
+        _indexed_adjacency(4, links), [1.0, 1.0, 1.0, 1.0, 5.0], seeds,
+        1.0, link_residual, math.inf, [1.0] * 4, 1.0, [8.0] * 4,
+    )
+    assert host == -1  # no node load: nothing is scored
+    return parent_node, parent_link, dist
 
 
 class TestDijkstra:
     def test_shortest_path_costs(self):
-        adjacency, weights = _square_adjacency()
-        dist, parent = capacity_constrained_dijkstra(
-            adjacency, "a", lambda l: weights[l], lambda l: True
-        )
-        assert dist["c"] == pytest.approx(2.0)  # a-b-c beats the 5.0 diagonal
-        assert dist["d"] == pytest.approx(1.0)
+        _, _, dist = _square_tree()
+        assert dist[2] == pytest.approx(2.0)  # a-b-c beats the 5.0 diagonal
+        assert dist[3] == pytest.approx(1.0)
 
     def test_path_reconstruction(self):
-        adjacency, weights = _square_adjacency()
-        _, parent = capacity_constrained_dijkstra(
-            adjacency, "a", lambda l: weights[l], lambda l: True
-        )
-        links = path_links(parent, "a", "c")
-        assert links == [("a", "b"), ("b", "c")]
-        assert path_cost(links, lambda l: weights[l]) == pytest.approx(2.0)
+        parent_node, parent_link, dist = _square_tree()
+        assert tree_path(parent_node, parent_link, 2) == (0, [0, 1])
+        assert dist[2] == 1.0 + 1.0
 
     def test_infeasible_links_excluded(self):
-        adjacency, weights = _square_adjacency()
         # Forbid both cheap two-hop routes: only the diagonal remains.
-        banned = {("a", "b"), ("a", "d")}
-        dist, parent = capacity_constrained_dijkstra(
-            adjacency, "a", lambda l: weights[l], lambda l: l not in banned
+        parent_node, parent_link, dist = _square_tree(
+            link_residual=(0.0, 1.0, 1.0, 0.0, 1.0)
         )
-        assert dist["c"] == pytest.approx(5.0)
-        assert path_links(parent, "a", "c") == [("a", "c")]
+        assert dist[2] == pytest.approx(5.0)
+        assert tree_path(parent_node, parent_link, 2) == (0, [4])
 
     def test_unreachable_node_absent(self):
-        adjacency, weights = _square_adjacency()
-        dist, parent = capacity_constrained_dijkstra(
-            adjacency, "a", lambda l: weights[l], lambda l: False
-        )
-        assert dist == {"a": 0.0}
-        assert path_links(parent, "a", "c") is None
+        parent_node, parent_link, dist = _square_tree(link_residual=[0.0] * 5)
+        assert dist == [0.0, math.inf, math.inf, math.inf]
+        assert parent_node == parent_link == [-1] * 4
+        # An unreached node is the root of its own empty path.
+        assert tree_path(parent_node, parent_link, 2) == (2, [])
 
     def test_source_path_is_empty(self):
-        adjacency, weights = _square_adjacency()
-        _, parent = capacity_constrained_dijkstra(
-            adjacency, "a", lambda l: weights[l], lambda l: True
+        parent_node, parent_link, _ = _square_tree()
+        assert tree_path(parent_node, parent_link, 0) == (0, [])
+
+    def test_undercut_seed_takes_the_cheaper_seeds_path(self):
+        # c starts at 5.0, but a's tree reaches it at 2.0 through b: c's
+        # path leads back to seed a, and its own seed entry goes stale.
+        parent_node, parent_link, dist = _square_tree(
+            seeds=[(0, 0.0), (2, 5.0)]
         )
-        assert path_links(parent, "a", "a") == []
+        assert dist == [0.0, 1.0, 2.0, 1.0]
+        assert tree_path(parent_node, parent_link, 2) == (0, [0, 1])
+        assert tree_path(parent_node, parent_link, 3) == (0, [3])
 
 
 # -- host search vs its plain-loop twin ---------------------------------------
@@ -119,15 +108,18 @@ def _indexed_adjacency(num_nodes, links):
     return adj
 
 
-def _plain_whole_tree(adj, link_costs, source, load, link_residual):
-    """Plain-loop whole-tree Dijkstra on the indexed adjacency:
-    ``(parent_node, parent_link, dist, pop order)``. Anchored to the
-    dict-keyed production reference, which greedy_reference runs."""
-    dist = {source: 0.0}
+def _plain_whole_tree(adj, link_costs, seeds, load, link_residual):
+    """Plain-loop whole-tree Dijkstra on the indexed adjacency from
+    ``seeds``: ``(parent_node, parent_link, dist, pop order, parent)``,
+    ``parent`` the dict of ``node → (predecessor, link)``."""
+    dist = {}
+    heap = []
+    for counter, (node, start) in enumerate(seeds):
+        dist[node] = start
+        heapq.heappush(heap, (start, counter, node))
+    counter = len(seeds)
     parent = {}
     order = []
-    heap = [(0.0, 0, source)]
-    counter = 1
     while heap:
         d, _, node = heapq.heappop(heap)
         if node in order:
@@ -142,17 +134,13 @@ def _plain_whole_tree(adj, link_costs, source, load, link_residual):
                 parent[neighbor] = (node, link)
                 heapq.heappush(heap, (candidate, counter, neighbor))
                 counter += 1
-    assert (dist, parent) == capacity_constrained_dijkstra(
-        dict(enumerate(adj)), source,
-        lambda link: load * link_costs[link],
-        lambda link: link_residual[link] >= load,
-    )
     nodes = range(len(adj))
     return (
         [parent.get(v, (-1, -1))[0] for v in nodes],
         [parent.get(v, (-1, -1))[1] for v in nodes],
         [dist.get(v, math.inf) for v in nodes],
         order,
+        parent,
     )
 
 
@@ -169,25 +157,26 @@ def _plain_host_scan(dist, node_load, node_costs, node_residual):
     return host
 
 
-def _tree_path(parent_node, parent_link, source, target):
+def _plain_path(parent, target):
+    """``(root, links root → target)`` by the twin's parent dict."""
     links = []
-    while target != source:
-        links.append(parent_link[target])
-        target = parent_node[target]
-    return links[::-1]
+    while target in parent:
+        target, link = parent[target]
+        links.append(link)
+    return target, links[::-1]
 
 
 def _assert_fused_equals_twin(
-    adj, link_costs, source, load, link_residual,
+    adj, link_costs, seeds, load, link_residual,
     node_load, node_costs, node_residual,
 ):
     """Host, link path and the settled prefix equal the twin's bit for
     bit; returns the fused search's ``(host, settled nodes in pop
     order)``."""
-    twin_parent_node, twin_parent_link, twin_dist, twin_order = (
-        _plain_whole_tree(adj, link_costs, source, load, link_residual)
+    twin_parent_node, twin_parent_link, twin_dist, twin_order, twin_parent = (
+        _plain_whole_tree(adj, link_costs, seeds, load, link_residual)
     )
-    search = (adj, link_costs, source, load, link_residual)
+    search = (adj, link_costs, seeds, load, link_residual)
     # Without a node load the search is the whole tree.
     assert cheapest_host_search(
         *search, math.inf, node_costs, min(node_costs), node_residual
@@ -209,8 +198,12 @@ def _assert_fused_equals_twin(
         assert settled == twin_order  # nothing to stop on: walk it all
     else:
         assert host in settled
-        assert _tree_path(parent_node, parent_link, source, host) == (
-            _tree_path(twin_parent_node, twin_parent_link, source, host)
+        assert tree_path(parent_node, parent_link, host) == (
+            _plain_path(twin_parent, host)
+        )
+    for v in twin_order:  # every reached node's path, on the whole tree
+        assert tree_path(twin_parent_node, twin_parent_link, v) == (
+            _plain_path(twin_parent, v)
         )
     return host, settled
 
@@ -219,6 +212,7 @@ def _assert_fused_equals_twin(
 #: not, and exercise the monotone-rounding half of the stop argument.
 _LINK_COSTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 0.1, 0.3])
 _NODE_COSTS = st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.1, 0.3])
+_SEED_DISTANCES = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 0.3])
 
 
 @st.composite
@@ -235,10 +229,16 @@ def host_search_cases(draw):
         )
     )
     links += [(a, b) for a, b in extra if a != b]
+    # One seed at 0.0 is a single-source query; several seeds with
+    # unequal initial distances are FULLG's subtree DP.
+    seed_nodes = draw(
+        st.lists(st.integers(0, num_nodes - 1), min_size=1, max_size=4,
+                 unique=True)
+    )
     return dict(
         adj=_indexed_adjacency(num_nodes, links),
         link_costs=[draw(_LINK_COSTS) for _ in links],
-        source=draw(st.integers(0, num_nodes - 1)),
+        seeds=[(v, draw(_SEED_DISTANCES)) for v in seed_nodes],
         load=draw(st.sampled_from([0.0, 1.0, 2.0])),
         # 0.0 / 1.0 residuals saturate links for load 2.0: cuts.
         link_residual=[
@@ -265,7 +265,7 @@ class TestCheapestHostSearch:
         case = dict(
             adj=_indexed_adjacency(num_nodes, links),
             link_costs=[1.0] * len(links),
-            source=0,
+            seeds=[(0, 0.0)],
             load=1.0,
             link_residual=[4.0] * len(links),
             node_load=1.0,
@@ -318,7 +318,7 @@ class TestCheapestHostSearch:
         case = dict(
             adj=_indexed_adjacency(4, links),
             link_costs=[2.0, 1.0, 1.0],
-            source=2,
+            seeds=[(2, 0.0)],
             load=1.0,
             link_residual=[4.0] * 3,
             node_load=1.0,
