@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.application import ROOT_ID, Application
+from repro.apps.application import Application
 from repro.apps.efficiency import EfficiencyModel, UniformEfficiency
 from repro.core.olive import Decision
 from repro.core.profile import MemoizedEfficiency
@@ -134,16 +134,18 @@ class SlotOffAlgorithm:
 
         # Resource cost = objective minus the quantile rejection penalty.
         rejection_cost = 0.0
-        for (_c, _p), var in model.quantile_vars.items():
-            rejection_cost += solution.values[var] * (
-                model.program.objective_coefficient(var)
-            )
+        for layout in model.layout:
+            first = layout.quantile_start
+            for var in range(first, first + self.config.num_quantiles):
+                rejection_cost += solution.values[var] * (
+                    model.program.objective_coefficient(var)
+                )
         self._last_resource_cost = solution.objective - rejection_cost
 
-        fractions: dict[ClassKey, float] = {}
-        for c, aggregate in enumerate(aggregates):
-            root_var = model.node_vars[(c, ROOT_ID, aggregate.ingress)]
-            fractions[aggregate.class_key] = float(solution.values[root_var])
+        fractions: dict[ClassKey, float] = {
+            aggregate.class_key: float(solution.values[layout.root])
+            for aggregate, layout in zip(aggregates, model.layout)
+        }
         self._last_fraction = fractions
 
         arrival_ids = {r.id for r in arrivals}

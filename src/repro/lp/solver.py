@@ -41,13 +41,15 @@ def solve_lp(program: LinearProgram) -> LPSolution:
     a_ub = to_csr(compiled.ub_triplets, len(compiled.ub_rhs))
     a_eq = to_csr(compiled.eq_triplets, len(compiled.eq_rhs))
     bounds = np.column_stack([compiled.lower, compiled.upper])
+    objective, b_ub, b_eq = compiled.objective, compiled.ub_rhs, compiled.eq_rhs
+    del compiled  # HiGHS's peak need not hold the triplets beside the CSR
 
     result = linprog(
-        c=compiled.objective,
+        c=objective,
         A_ub=a_ub,
-        b_ub=compiled.ub_rhs if a_ub is not None else None,
+        b_ub=b_ub if a_ub is not None else None,
         A_eq=a_eq,
-        b_eq=compiled.eq_rhs if a_eq is not None else None,
+        b_eq=b_eq if a_eq is not None else None,
         bounds=bounds,
         method="highs",
     )

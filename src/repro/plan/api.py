@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.apps.application import ROOT_ID, Application
+import numpy as np
+
+from repro.apps.application import Application
 from repro.apps.efficiency import EfficiencyModel
 from repro.lp.solver import solve_lp
 from repro.plan.decompose import DEFAULT_TOLERANCE, decompose_class
@@ -34,29 +36,26 @@ def compute_plan(
         return Plan()
     model = build_plan_vne(substrate, apps, aggregates, efficiency, config)
     solution = solve_lp(model.program)
+    node_ids = list(substrate.nodes)
+    arcs = [arc for a, b in substrate.links for arc in ((a, b), (b, a))]
 
     classes: dict = {}
-    for c, aggregate in enumerate(aggregates):
+    for aggregate, layout in zip(aggregates, model.layout):
         app = apps[aggregate.app_index]
         node_mass: dict[int, dict[str, float]] = {}
-        for vnf in app.vnfs:
-            masses = {}
-            for v in substrate.nodes:
-                var = model.node_vars.get((c, vnf.id, v))
-                if var is not None:
-                    value = solution.values[var]
-                    if value > tolerance:
-                        masses[v] = float(value)
-            node_mass[vnf.id] = masses
+        for vnf, start, hosts in zip(app.vnfs, layout.node_start, layout.hosts):
+            block = solution.values[start:start + len(hosts)]
+            node_mass[vnf.id] = {
+                node_ids[hosts[j]]: float(block[j])
+                for j in np.flatnonzero(block > tolerance)
+            }
         arc_flow: dict[tuple[int, int], dict[tuple[str, str], float]] = {}
-        for vlink in app.links:
-            flows = {}
-            for (a, b) in substrate.links:
-                for arc in ((a, b), (b, a)):
-                    value = solution.values[model.arc_vars[(c, vlink.key, arc)]]
-                    if value > tolerance:
-                        flows[arc] = float(value)
-            arc_flow[vlink.key] = flows
+        for vlink, start in zip(app.links, layout.arc_start):
+            block = solution.values[start:start + len(arcs)]
+            arc_flow[vlink.key] = {
+                arcs[j]: float(block[j])
+                for j in np.flatnonzero(block > tolerance)
+            }
 
         patterns, _lost = decompose_class(
             app, aggregate.ingress, node_mass, arc_flow, tolerance

@@ -19,7 +19,10 @@ Constraints: root balance (Eq. 13), per-virtual-link flow conservation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.apps.application import ROOT_ID, Application
 from repro.apps.efficiency import EfficiencyModel, UniformEfficiency
@@ -27,10 +30,7 @@ from repro.errors import PlanError
 from repro.lp.model import ConstraintSense, LinearProgram
 from repro.plan.rejection import rejection_factor
 from repro.stats.aggregate import AggregateRequest
-from repro.substrate.network import LinkId, NodeId, SubstrateNetwork
-
-Arc = tuple[NodeId, NodeId]
-VLinkKey = tuple[int, int]
+from repro.substrate.network import SubstrateNetwork
 
 
 @dataclass
@@ -51,22 +51,119 @@ class PlanVNEConfig:
             raise PlanError("need at least one rejection quantile")
 
 
+@dataclass(frozen=True)
+class ClassLayout:
+    """Where one class's variables sit in the LP: one contiguous block.
+
+    VNF ``app.vnfs[k]`` has variables ``node_start[k] + j`` on the
+    substrate nodes at positions ``hosts[k][j]`` (the root's one host is
+    the ingress). Virtual link ``app.links[k]`` has ``arc_start[k] + a``
+    per arc ``a``: ``2·l`` crosses link ``l`` = ``(x, y)`` as x→y,
+    ``2·l + 1`` as y→x. Quantile p is ``quantile_start + p - 1``.
+    """
+
+    root: int
+    node_start: tuple[int, ...]
+    hosts: tuple[np.ndarray, ...]
+    arc_start: tuple[int, ...]
+    quantile_start: int
+
+
 @dataclass
 class PlanVNEModel:
-    """A built PLAN-VNE instance: the LP plus variable lookup tables."""
+    """A built PLAN-VNE instance: the LP and each aggregate's layout."""
 
     program: LinearProgram
-    substrate: SubstrateNetwork
-    apps: list[Application]
-    aggregates: list[AggregateRequest]
-    efficiency: EfficiencyModel
-    config: PlanVNEConfig
-    #: (class_idx, vnf_id, node) → LP variable index.
-    node_vars: dict[tuple[int, int, NodeId], int] = field(default_factory=dict)
-    #: (class_idx, vlink_key, arc) → LP variable index.
-    arc_vars: dict[tuple[int, VLinkKey, Arc], int] = field(default_factory=dict)
-    #: (class_idx, quantile p) → LP variable index.
-    quantile_vars: dict[tuple[int, int], int] = field(default_factory=dict)
+    layout: list[ClassLayout]
+
+
+class _AppBlock:
+    """What one application's classes share, η asked once: per variable,
+    the size and η scaling its load, its cost and the element it loads
+    (``-1``: none); per VNF, its variable on each node (``-1``: none)."""
+
+    def __init__(
+        self, app: Application, substrate: SubstrateNetwork,
+        efficiency: EfficiencyModel, config: PlanVNEConfig,
+    ) -> None:
+        nodes, links = substrate.nodes.values(), substrate.links.values()
+        node_cost, num_arcs = np.array([n.cost for n in nodes]), 2 * len(links)
+        self.psi = (
+            config.rejection_base
+            if config.rejection_base is not None
+            else rejection_factor(app, substrate)
+        )
+        columns = []  # (size, η, cost, element) per VNF, virtual link
+        self.node_start, self.hosts, self.offsets = [], [], {}
+        start = 0
+        for k, vnf in enumerate(app.vnfs):
+            self.node_start.append(start)
+            if vnf.id == ROOT_ID:  # one variable, placed per class; β_θ = 0
+                self.root, self.root_vnf, eta = start, k, [1.0]
+            else:
+                eta = [efficiency.node_eta(vnf, attrs) for attrs in nodes]
+            hosts = np.array(
+                [i for i, e in enumerate(eta) if e is not None], dtype=np.int64
+            )
+            self.hosts.append(hosts)
+            columns.append((
+                np.full(len(hosts), vnf.size), [eta[i] for i in hosts],
+                node_cost[hosts], hosts,
+            ))
+            self.offsets[vnf.id] = np.full(len(nodes), -1, dtype=np.int64)
+            self.offsets[vnf.id][hosts] = start + np.arange(len(hosts))
+            start += len(hosts)
+        self.arc_start = []
+        for vlink in app.links:
+            self.arc_start.append(start)
+            eta = [efficiency.link_eta(vlink, attrs) for attrs in links]
+            columns.append((
+                np.full(num_arcs, vlink.size), np.repeat(eta, 2),
+                np.repeat([attrs.cost for attrs in links], 2),
+                len(nodes) + np.arange(num_arcs) // 2,
+            ))
+            start += num_arcs
+        P = config.num_quantiles
+        self.quantile_start, self.size = start, start + P
+        columns.append((*[np.zeros(P)] * 3, [-1] * P))
+        self.sizes, self.etas, self.costs, elements = (
+            np.concatenate(column, dtype=float) for column in zip(*columns)
+        )
+        self.elements = elements.astype(np.int64)
+        self.upper = np.where(np.arange(self.size) < start, 1.0, 1.0 / P)
+
+
+def _incidence(substrate: SubstrateNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs of every Eq. 14 row, node by node, and each node's count:
+    per ``(w, link)`` of its adjacency, arc ``w→v`` then ``v→w``."""
+    link_position = {link: l for l, link in enumerate(substrate.links)}
+    arcs: list[int] = []
+    for v, incident in substrate.adjacency.items():
+        for _w, link in incident:
+            outward = 2 * link_position[link] + (link[0] != v)
+            arcs += (outward ^ 1, outward)
+    counts = [2 * len(incident) for incident in substrate.adjacency.values()]
+    return np.array(arcs, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+
+def _flow_rows(head, tail, arcs, counts):
+    """Eq. 14 for one virtual link, a row per node with any entry: head
+    (+1), tail (−1), arcs (−1 in, +1 out); ``head`` / ``tail`` give each
+    node's variable or ``-1``. Returns rows, columns, values, row count."""
+    has_head, has_tail = head >= 0, tail >= 0
+    entries = counts + has_head + has_tail
+    first = np.cumsum(entries) - entries
+    column, value = np.empty(entries.sum(), dtype=np.int64), np.empty(entries.sum())
+    column[first[has_head]], value[first[has_head]] = head[has_head], 1.0
+    slot = (first + has_head)[has_tail]
+    column[slot], value[slot] = tail[has_tail], -1.0
+    slot = np.arange(len(arcs)) + np.repeat(
+        first + has_head + has_tail - (np.cumsum(counts) - counts), counts
+    )
+    column[slot], value[slot] = arcs, np.tile([-1.0, 1.0], len(arcs) // 2)
+    nonempty = entries > 0
+    rows = np.repeat(np.cumsum(nonempty) - 1, entries)
+    return rows, column, value, int(nonempty.sum())
 
 
 def build_plan_vne(
@@ -76,145 +173,79 @@ def build_plan_vne(
     efficiency: EfficiencyModel | None = None,
     config: PlanVNEConfig | None = None,
 ) -> PlanVNEModel:
-    """Construct the Fig. 4 LP for the given aggregated demand."""
+    """Construct the Fig. 4 LP for the given aggregated demand, as array
+    blocks (docs/ARCHITECTURE.md, "PLAN-VNE as arrays")."""
     efficiency = efficiency or UniformEfficiency()
     config = config or PlanVNEConfig()
-    program = LinearProgram(name="plan-vne")
-    model = PlanVNEModel(
-        program=program,
-        substrate=substrate,
-        apps=apps,
-        aggregates=aggregates,
-        efficiency=efficiency,
-        config=config,
-    )
-
-    arcs: list[tuple[Arc, LinkId]] = []
-    for (a, b) in substrate.links:
-        arcs.append(((a, b), (a, b)))
-        arcs.append(((b, a), (a, b)))
-
-    # Capacity accumulators: element → list[(variable, load coefficient)].
-    node_cap_terms: dict[NodeId, list[tuple[int, float]]] = {
-        v: [] for v in substrate.nodes
-    }
-    link_cap_terms: dict[LinkId, list[tuple[int, float]]] = {
-        l: [] for l in substrate.links
-    }
-
-    for c, aggregate in enumerate(aggregates):
+    for aggregate in aggregates:  # refused before any variable exists
+        if not 0 <= aggregate.app_index < len(apps):
+            problem = "unknown application index"
+        elif aggregate.ingress not in substrate.nodes:
+            problem = "unknown ingress"
+        elif not (math.isfinite(aggregate.demand) and aggregate.demand > 0):
+            problem = "demand must be positive and finite"
+        else:
+            continue
+        raise PlanError(f"class {aggregate.class_key}: {problem} ({aggregate})")
+    P = config.num_quantiles
+    node_position = {v: i for i, v in enumerate(substrate.nodes)}
+    arcs, counts = _incidence(substrate)
+    blocks: dict[int, _AppBlock] = {}
+    variables, rows, loads, layout = [], [], [], []
+    start = num_rows = 0
+    for aggregate in aggregates:
         app = apps[aggregate.app_index]
-        if aggregate.ingress not in substrate.nodes:
-            raise PlanError(
-                f"class {aggregate.class_key}: unknown ingress "
-                f"{aggregate.ingress!r}"
+        block = blocks.get(aggregate.app_index)
+        if block is None:
+            block = _AppBlock(app, substrate, efficiency, config)
+            blocks[aggregate.app_index] = block
+        ingress, demand = node_position[aggregate.ingress], aggregate.demand
+        # Load per unit of a variable d·β·η and its cost (Eqs. 7–8); the
+        # quantiles' rejection cost ψ·d·p (Eq. 9).
+        load = demand * block.sizes * block.etas
+        objective = load * block.costs
+        objective[block.quantile_start:] = block.psi * demand * np.arange(1, P + 1)
+        variables.append((np.zeros(block.size), block.upper, objective))
+        loaded = np.flatnonzero((load > 0) & (block.elements >= 0))
+        loads.append((block.elements[loaded], start + loaded, load[loaded]))
+        # Root balance (Eq. 13), then flow conservation (Eq. 14).
+        balance = [block.root, *range(block.quantile_start, block.size)]
+        rows.append((
+            [num_rows] * (P + 1), start + np.array(balance), np.ones(P + 1), [1.0]
+        ))
+        num_rows += 1
+        root = np.full(len(node_position), -1, dtype=np.int64)
+        root[ingress] = block.root
+        for vlink, arc_start in zip(app.links, block.arc_start):
+            tail = root if vlink.tail == ROOT_ID else block.offsets[vlink.tail]
+            row, column, value, count = _flow_rows(
+                block.offsets[vlink.head], tail, arc_start + arcs, counts
             )
-        demand = aggregate.demand
-        psi = (
-            config.rejection_base
-            if config.rejection_base is not None
-            else rejection_factor(app, substrate)
-        )
+            rows.append((num_rows + row, start + column, value, np.zeros(count)))
+            num_rows += count
+        hosts = list(block.hosts)
+        hosts[block.root_vnf] = np.array([ingress])
+        layout.append(ClassLayout(
+            root=start + block.root,
+            node_start=tuple(start + s for s in block.node_start),
+            hosts=tuple(hosts),
+            arc_start=tuple(start + s for s in block.arc_start),
+            quantile_start=start + block.quantile_start,
+        ))
+        start += block.size
 
-        # -- node variables (Eqs. 10–11) --------------------------------
-        for vnf in app.vnfs:
-            if vnf.id == ROOT_ID:
-                # θ exists only at the ingress; β_θ = 0 so no load terms.
-                var = program.add_variable(
-                    name=f"y[{c}]n[{vnf.id}]@{aggregate.ingress}",
-                    lower=0.0,
-                    upper=1.0,
-                )
-                model.node_vars[(c, vnf.id, aggregate.ingress)] = var
-                continue
-            for v, attrs in substrate.nodes.items():
-                eta = efficiency.node_eta(vnf, attrs)
-                if eta is None:
-                    continue
-                load_coef = demand * vnf.size * eta
-                var = program.add_variable(
-                    name=f"y[{c}]n[{vnf.id}]@{v}",
-                    lower=0.0,
-                    upper=1.0,
-                    objective=load_coef * attrs.cost,
-                )
-                model.node_vars[(c, vnf.id, v)] = var
-                if load_coef > 0:
-                    node_cap_terms[v].append((var, load_coef))
-
-        # -- arc variables ------------------------------------------------
-        for vlink in app.links:
-            for arc, link in arcs:
-                link_attrs = substrate.links[link]
-                eta = efficiency.link_eta(vlink, link_attrs)
-                load_coef = demand * vlink.size * eta
-                var = program.add_variable(
-                    name=f"y[{c}]l[{vlink.tail}-{vlink.head}]@{arc[0]}>{arc[1]}",
-                    lower=0.0,
-                    upper=1.0,
-                    objective=load_coef * link_attrs.cost,
-                )
-                model.arc_vars[(c, vlink.key, arc)] = var
-                if load_coef > 0:
-                    link_cap_terms[link].append((var, load_coef))
-
-        # -- quantile variables (Eqs. 9, 12) -----------------------------
-        P = config.num_quantiles
-        for p in range(1, P + 1):
-            var = program.add_variable(
-                name=f"y[{c}]q[{p}]",
-                lower=0.0,
-                upper=1.0 / P,
-                objective=psi * demand * p,
-            )
-            model.quantile_vars[(c, p)] = var
-
-        # -- root balance (Eq. 13) ---------------------------------------
-        root_var = model.node_vars[(c, ROOT_ID, aggregate.ingress)]
-        terms = {root_var: 1.0}
-        for p in range(1, P + 1):
-            terms[model.quantile_vars[(c, p)]] = 1.0
-        program.add_constraint(
-            terms, ConstraintSense.EQ, 1.0, name=f"root-balance[{c}]"
-        )
-
-        # -- flow conservation (Eq. 14) ----------------------------------
-        for vlink in app.links:
-            for v in substrate.nodes:
-                terms = {}
-                head_var = model.node_vars.get((c, vlink.head, v))
-                if head_var is not None:
-                    terms[head_var] = 1.0
-                tail_var = model.node_vars.get((c, vlink.tail, v))
-                if tail_var is not None:
-                    terms[tail_var] = -1.0
-                for w, _link in substrate.adjacency[v]:
-                    terms[model.arc_vars[(c, vlink.key, (w, v))]] = -1.0
-                    terms[model.arc_vars[(c, vlink.key, (v, w))]] = 1.0
-                if terms:
-                    program.add_constraint(
-                        terms,
-                        ConstraintSense.EQ,
-                        0.0,
-                        name=f"flow[{c}][{vlink.tail}-{vlink.head}]@{v}",
-                    )
-
-    # -- capacity constraints (Eq. 15), one row per substrate element ------
-    for v, terms in node_cap_terms.items():
-        if terms:
-            program.add_constraint(
-                terms,
-                ConstraintSense.LE,
-                substrate.node_capacity(v),
-                name=f"cap-node@{v}",
-            )
-    for link, terms in link_cap_terms.items():
-        if terms:
-            program.add_constraint(
-                terms,
-                ConstraintSense.LE,
-                substrate.link_capacity(link),
-                name=f"cap-link@{link[0]}-{link[1]}",
-            )
-
-    return model
+    program = LinearProgram(name="plan-vne")
+    if aggregates:
+        program.add_variables(*map(np.concatenate, zip(*variables)))
+        row, column, value, rhs = map(np.concatenate, zip(*rows))
+        program.add_rows(row, column, value, ConstraintSense.EQ, rhs)
+    # Capacity (Eq. 15): one row per loaded element, nodes in substrate
+    # order then links, its entries in class order.
+    if loads:
+        element, column, load = map(np.concatenate, zip(*loads))
+        order = np.argsort(element, kind="stable")
+        loaded, row = np.unique(element[order], return_inverse=True)
+        elements = [*substrate.nodes.values(), *substrate.links.values()]
+        capacity = np.array([attrs.capacity for attrs in elements])[loaded]
+        program.add_rows(row, column[order], load[order], ConstraintSense.LE, capacity)
+    return PlanVNEModel(program=program, layout=layout)

@@ -107,6 +107,8 @@ def compute_windowed_plans(
         raise PlanError(
             "cycle period must fit the history and cover every window"
         )
+    if cycle_period is None and num_windows > online_slots:
+        raise PlanError(f"online_slots={online_slots} < {num_windows} windows")
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -48,12 +48,18 @@ class TestGpuFormulation:
         model = build_plan_vne(
             gpu_substrate, [gpu_app], aggregates, GpuAwareEfficiency()
         )
+        nodes = list(gpu_substrate.nodes)
+        layout = model.layout[0]
+        hosts = {
+            vnf.id: {nodes[i] for i in positions}
+            for vnf, positions in zip(gpu_app.vnfs, layout.hosts)
+        }
         # GPU VNF (id 2) may only sit on the GPU node.
-        gpu_hosts = {v for (c, i, v) in model.node_vars if i == 2}
-        assert gpu_hosts == {"core-gpu"}
+        assert hosts[2] == {"core-gpu"}
         # Generic VNF (id 1) may sit anywhere except the GPU node.
-        generic_hosts = {v for (c, i, v) in model.node_vars if i == 1}
-        assert generic_hosts == {"edge", "transport", "core"}
+        assert hosts[1] == {"edge", "transport", "core"}
+        # No variable exists for a forbidden placement.
+        assert layout.node_start[2] - layout.node_start[1] == 3
 
     def test_plan_respects_gpu_exclusivity(self, gpu_substrate, gpu_app):
         aggregates = [AggregateRequest(0, "edge", 10.0)]
@@ -72,8 +78,7 @@ class TestGpuFormulation:
             gpu_substrate, [gpu_app], aggregates, GpuAwareEfficiency()
         )
         solution = solve_lp(model.program)
-        root = model.node_vars[(0, ROOT_ID, "edge")]
-        assert solution.values[root] == pytest.approx(1.0)
+        assert solution.values[model.layout[0].root] == pytest.approx(1.0)
 
     def test_no_gpu_node_forces_rejection(self, gpu_app):
         """Without any GPU datacenter the class is fully rejected."""

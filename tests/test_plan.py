@@ -26,24 +26,27 @@ class TestFormulation:
     def test_root_variable_only_at_ingress(self, small_instance):
         substrate, apps, aggregates = small_instance
         model = build_plan_vne(substrate, apps, aggregates)
-        root_vars = [
-            key for key in model.node_vars if key[1] == ROOT_ID
-        ]
-        assert root_vars == [(0, ROOT_ID, "edge-a")]
+        (layout,) = model.layout
+        root = [vnf.id for vnf in apps[0].vnfs].index(ROOT_ID)
+        assert layout.node_start[root] == layout.root
+        nodes = list(substrate.nodes)
+        assert [nodes[i] for i in layout.hosts[root]] == ["edge-a"]
 
     def test_quantile_bounds_are_one_over_p(self, small_instance):
         substrate, apps, aggregates = small_instance
         config = PlanVNEConfig(num_quantiles=4)
         model = build_plan_vne(substrate, apps, aggregates, config=config)
         compiled = model.program.compile()
-        for (_c, _p), var in model.quantile_vars.items():
-            assert compiled.upper[var] == pytest.approx(0.25)
+        first = model.layout[0].quantile_start
+        assert compiled.upper[first:first + 4] == pytest.approx([0.25] * 4)
+        assert len(compiled.upper) == first + 4
 
     def test_quantile_rejection_cost_increases_with_p(self, small_instance):
         substrate, apps, aggregates = small_instance
         model = build_plan_vne(substrate, apps, aggregates)
+        first = model.layout[0].quantile_start
         costs = [
-            model.program.objective_coefficient(model.quantile_vars[(0, p)])
+            model.program.objective_coefficient(first + p - 1)
             for p in range(1, 11)
         ]
         assert all(b > a for a, b in zip(costs, costs[1:]))
@@ -53,17 +56,17 @@ class TestFormulation:
     def test_arc_variables_cover_both_directions(self, small_instance):
         substrate, apps, aggregates = small_instance
         model = build_plan_vne(substrate, apps, aggregates)
-        arcs = {arc for (c, vl, arc) in model.arc_vars if vl == (0, 1)}
-        assert ("edge-a", "transport") in arcs
-        assert ("transport", "edge-a") in arcs
-        assert len(arcs) == 2 * substrate.num_links
+        layout = model.layout[0]
+        # One variable per substrate link and direction, per virtual link.
+        ends = [*layout.arc_start[1:], layout.quantile_start]
+        for start, end in zip(layout.arc_start, ends):
+            assert end - start == 2 * substrate.num_links
 
     def test_full_allocation_when_capacity_ample(self, small_instance):
         substrate, apps, aggregates = small_instance
         model = build_plan_vne(substrate, apps, aggregates)
         solution = solve_lp(model.program)
-        root = model.node_vars[(0, ROOT_ID, "edge-a")]
-        assert solution.values[root] == pytest.approx(1.0)
+        assert solution.values[model.layout[0].root] == pytest.approx(1.0)
 
     def test_rejection_when_capacity_tight(self, chain_app):
         # Node footprint per unit demand is 20; edge-a capacity 1000 and all
@@ -75,8 +78,7 @@ class TestFormulation:
         ]
         model = build_plan_vne(substrate, [chain_app], aggregates)
         solution = solve_lp(model.program)
-        root = model.node_vars[(0, ROOT_ID, "edge-a")]
-        allocated = solution.values[root]
+        allocated = solution.values[model.layout[0].root]
         # edge-a alone hosts 1000 / 20 = 50 units; the link adds ≤ 6 more.
         assert allocated < 0.6
         assert allocated > 0.45
@@ -85,6 +87,27 @@ class TestFormulation:
         aggregates = [AggregateRequest(app_index=0, ingress="nope", demand=1.0)]
         with pytest.raises(PlanError, match="unknown ingress"):
             build_plan_vne(line_substrate, [chain_app], aggregates)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "match"),
+        [
+            ("app_index", 1, "unknown application"),
+            ("app_index", -1, "unknown application"),
+            ("demand", -5.0, "demand must be positive"),
+            ("demand", float("nan"), "demand must be positive"),
+        ],
+    )
+    def test_malformed_aggregate_raises(
+        self, line_substrate, chain_app, field, value, match
+    ):
+        aggregate = dict(app_index=0, ingress="edge-a", demand=10.0)
+        aggregate[field] = value
+        aggregates = [
+            AggregateRequest(app_index=0, ingress="edge-b", demand=10.0),
+            AggregateRequest(**aggregate),
+        ]
+        with pytest.raises(PlanError, match=match):
+            compute_plan(line_substrate, [chain_app], aggregates)
 
     def test_config_rejects_zero_quantiles(self):
         with pytest.raises(PlanError):

@@ -138,6 +138,25 @@ class TestWindowedPlans:
                 config.history_slots, config.online_slots, num_windows=0,
             )
 
+    def test_more_windows_than_online_slots_refused_before_solving(
+        self, test_scenario, monkeypatch
+    ):
+        solves = []
+        monkeypatch.setattr(
+            "repro.plan.api.solve_lp", lambda program: solves.append(program)
+        )
+        config = test_scenario.config
+        with pytest.raises(PlanError, match="online_slots=3"):
+            compute_windowed_plans(
+                test_scenario.substrate,
+                test_scenario.apps,
+                test_scenario.trace.history_requests(),
+                config.history_slots,
+                online_slots=3,
+                num_windows=5,
+            )
+        assert solves == []
+
     def test_windowed_olive_runs_and_switches(self, test_scenario):
         config = test_scenario.config
         schedule = compute_windowed_plans(
