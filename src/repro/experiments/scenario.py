@@ -23,8 +23,9 @@ QUICKG / FULLG / SLOTOFF plus the two planner extensions, ``OLIVE-W``
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.apps.application import Application
 from repro.apps.efficiency import EfficiencyModel
@@ -32,6 +33,7 @@ from repro.baselines.fullg import FullGAlgorithm
 from repro.baselines.quickg import make_quickg
 from repro.baselines.slotoff import SlotOffAlgorithm
 from repro.core.olive import OliveAlgorithm
+from repro.errors import WorkloadError
 from repro.experiments.config import ExperimentConfig
 from repro.plan.api import compute_plan
 from repro.plan.formulation import PlanVNEConfig
@@ -128,34 +130,23 @@ def build_scenario(
 
     plan = Plan()
     if with_plan:
-        history = trace.history_requests()
+        history = trace.history_columns()
         if plan_utilization is not None and plan_utilization != config.utilization:
+            if not 0 < plan_utilization < math.inf:
+                raise WorkloadError("plan_utilization must be positive and finite")
             scale = plan_utilization / config.utilization
-            history = [
-                Request(
-                    arrival=r.arrival,
-                    id=r.id,
-                    app_index=r.app_index,
-                    ingress=r.ingress,
-                    demand=r.demand * scale,
-                    duration=r.duration,
-                )
-                for r in history
-            ]
+            history = replace(history, demand=history.demand * scale)
         if shift_plan_ingress:
-            shift_rng = child_rng(rng, "shift")
+            # One draw per history request, in request order: the stream
+            # a scalar draw per request would consume.
             edge_nodes = substrate.edge_nodes
-            history = [
-                Request(
-                    arrival=r.arrival,
-                    id=r.id,
-                    app_index=r.app_index,
-                    ingress=edge_nodes[int(shift_rng.integers(0, len(edge_nodes)))],
-                    demand=r.demand,
-                    duration=r.duration,
-                )
-                for r in history
-            ]
+            history = replace(
+                history,
+                nodes=edge_nodes,
+                ingress=child_rng(rng, "shift").integers(
+                    0, len(edge_nodes), size=len(history.ingress)
+                ),
+            )
         aggregates = build_aggregate_demand(
             history,
             config.history_slots,
@@ -275,7 +266,7 @@ def _make_olive_windowed(scenario: Scenario) -> WindowedOliveAlgorithm:
     schedule = compute_windowed_plans(
         scenario.substrate,
         scenario.apps,
-        scenario.trace.history_requests(),
+        scenario.trace.history_columns(),
         config.history_slots,
         config.online_slots,
         num_windows=min(OLIVE_W_WINDOWS, config.history_slots),

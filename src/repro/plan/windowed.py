@@ -18,6 +18,7 @@ window's guarantees.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.stats.aggregate import AggregateRequest, class_demand_series
 from repro.stats.bootstrap import bootstrap_percentile
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.rng import child_rng
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestColumns
 
 
 @dataclass
@@ -75,7 +76,7 @@ class PlanSchedule:
 def compute_windowed_plans(
     substrate: SubstrateNetwork,
     apps: list[Application],
-    history: list[Request],
+    history: Sequence[Request] | RequestColumns,
     history_slots: int,
     online_slots: int,
     num_windows: int,

@@ -8,6 +8,7 @@ class active at slot t. Expected demand: d(r̃) = P̂_α of that series
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.stats.bootstrap import bootstrap_percentile
 from repro.utils.rng import child_rng
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestColumns
 
 ClassKey = tuple[int, str]
 
@@ -34,49 +35,52 @@ class AggregateRequest:
 
 
 def class_demand_series(
-    requests: list[Request], num_slots: int
+    requests: Sequence[Request] | RequestColumns, num_slots: int
 ) -> dict[ClassKey, np.ndarray]:
     """Per-class active-demand time series d(r̃, t) over ``num_slots`` slots.
 
     A request contributes its demand to every slot in [t(r), t(r)+T(r)).
-    Activity past the horizon is truncated at ``num_slots``.
+    Activity past the horizon is truncated at ``num_slots``. A
+    ``Request`` sequence is converted to columns first.
     """
     if num_slots < 1:
         raise WorkloadError("need at least one slot")
-    per_class: dict[ClassKey, list[Request]] = {}
-    for request in requests:
-        per_class.setdefault(request.class_key(), []).append(request)
+    if not isinstance(requests, RequestColumns):
+        requests = RequestColumns.of(requests)
+    nodes = requests.nodes
+    starts = np.minimum(requests.arrival, num_slots)
+    stops = np.minimum(requests.arrival + requests.duration, num_slots)
+    lengths = stops - starts
+    # np.unique's stable sort groups the rows by class; ``first`` keeps
+    # the classes in order of first appearance, as a dict walk would.
+    classes, first, row_class = np.unique(
+        requests.app_index * len(nodes) + requests.ingress,
+        return_index=True, return_inverse=True,
+    )
+    keep = lengths > 0
+    starts, lengths = starts[keep], lengths[keep]
+    # Concatenated [start, stop) ranges, one per request in request
+    # order, each shifted into its class's row of one flat buffer. Every
+    # cell belongs to one class, and np.add.at applies the unbuffered
+    # adds in index order, so each cell sums its class's demands in
+    # request order from 0.0: the per-request slice accumulation of the
+    # scalar loop, bit for bit.
+    offsets = np.cumsum(lengths) - lengths
+    positions = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        row_class[keep] * num_slots + starts - offsets, lengths
+    )
+    out = np.zeros((len(classes), num_slots))
+    demands = np.repeat(requests.demand[keep], lengths)
+    np.add.at(out.reshape(-1), positions, demands)
     series: dict[ClassKey, np.ndarray] = {}
-    for key, members in per_class.items():
-        starts = np.array(
-            [min(r.arrival, num_slots) for r in members], dtype=np.int64
-        )
-        stops = np.array(
-            [min(r.departure, num_slots) for r in members], dtype=np.int64
-        )
-        demands = np.array([r.demand for r in members])
-        lengths = stops - starts
-        keep = lengths > 0
-        starts, lengths, demands = starts[keep], lengths[keep], demands[keep]
-        out = np.zeros(num_slots)
-        if lengths.size:
-            # Concatenated [start, stop) ranges, one per request in
-            # request order; np.add.at applies the unbuffered adds in
-            # index order, reproducing the per-request slice-accumulation
-            # of the scalar loop bit for bit.
-            offsets = np.cumsum(lengths) - lengths
-            total = int(lengths.sum())
-            positions = (
-                np.arange(total, dtype=np.int64)
-                + np.repeat(starts - offsets, lengths)
-            )
-            np.add.at(out, positions, np.repeat(demands, lengths))
-        series[key] = out
+    for k in np.argsort(first).tolist():
+        app_index, node = divmod(int(classes[k]), len(nodes))
+        series[(app_index, nodes[node])] = out[k]
     return series
 
 
 def build_aggregate_demand(
-    requests: list[Request],
+    requests: Sequence[Request] | RequestColumns,
     num_slots: int,
     alpha: float = 80.0,
     num_resamples: int = 200,

@@ -18,7 +18,7 @@ from repro.workload.adversarial import (
 from repro.workload.arrivals import MMPPProcess, PoissonProcess
 from repro.workload.diurnal import diurnal_rates, generate_diurnal_trace
 from repro.workload.popularity import assign_node_popularity, zipf_weights
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestColumns
 from repro.workload.trace import (
     Trace,
     TraceConfig,
@@ -30,6 +30,7 @@ from repro.workload.trace import (
 
 __all__ = [
     "Request",
+    "RequestColumns",
     "MMPPProcess",
     "PoissonProcess",
     "zipf_weights",

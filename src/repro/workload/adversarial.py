@@ -34,8 +34,13 @@ from repro.registry import register_trace
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.rng import child_rng
 from repro.workload.popularity import assign_node_popularity
-from repro.workload.request import Request
-from repro.workload.trace import Trace, TraceConfig, _draw_requests_for_slot
+from repro.workload.trace import (
+    SlotColumns,
+    Trace,
+    TraceConfig,
+    draw_slot,
+    trace_from_slots,
+)
 
 
 def pareto_burst_counts(
@@ -84,15 +89,10 @@ def generate_pareto_burst_trace(
         shape=shape,
     )
     body_rng = child_rng(rng, "pareto-requests")
-    requests: list[Request] = []
-    for t in range(config.total_slots):
-        requests.extend(
-            _draw_requests_for_slot(
-                t, int(counts[t]), len(requests), edge_nodes,
-                probabilities, len(apps), config, body_rng,
-            )
-        )
-    return Trace(config=config, requests=requests, node_popularity=popularity)
+    return trace_from_slots(
+        config, edge_nodes, popularity, counts,
+        lambda t, count: draw_slot(count, probabilities, len(apps), config, body_rng),
+    )
 
 
 def hotspot_probabilities(
@@ -158,21 +158,17 @@ def generate_ingress_hotspot_trace(
         config.arrivals_per_node * len(edge_nodes), size=config.total_slots
     )
     body_rng = child_rng(rng, "hotspot-requests")
-    requests: list[Request] = []
-    for t in range(config.total_slots):
-        probabilities = (
-            history_prob if t < config.history_slots else online_prob
-        )
-        requests.extend(
-            _draw_requests_for_slot(
-                t, int(counts[t]), len(requests), edge_nodes,
-                probabilities, len(apps), config, body_rng,
-            )
-        )
     popularity = {
         edge_nodes[i]: float(history_prob[i]) for i in range(len(edge_nodes))
     }
-    return Trace(config=config, requests=requests, node_popularity=popularity)
+    return trace_from_slots(
+        config, edge_nodes, popularity, counts,
+        lambda t, count: draw_slot(
+            count,
+            history_prob if t < config.history_slots else online_prob,
+            len(apps), config, body_rng,
+        ),
+    )
 
 
 @register_trace(
@@ -213,17 +209,12 @@ def generate_capacity_probe_trace(
         config.arrivals_per_node * len(edge_nodes), size=config.total_slots
     )
     body_rng = child_rng(rng, "probe-requests")
-    requests: list[Request] = []
-    for t in range(config.total_slots):
-        count = int(counts[t])
-        if count == 0:
-            continue
-        node_idx = body_rng.choice(
-            len(edge_nodes), size=count, p=probabilities
-        )
-        app_idx = body_rng.integers(0, len(apps), size=count)
+
+    def draw(t: int, count: int) -> SlotColumns:
+        ingress = body_rng.choice(len(edge_nodes), size=count, p=probabilities)
+        app_index = body_rng.integers(0, len(apps), size=count)
         is_probe = body_rng.uniform(size=count) < probe_fraction
-        demands = np.where(
+        demand = np.where(
             is_probe,
             config.demand_floor,
             np.maximum(
@@ -235,7 +226,7 @@ def generate_capacity_probe_trace(
                 ),
             ),
         )
-        durations = np.where(
+        duration = np.where(
             is_probe,
             1,
             np.maximum(
@@ -248,21 +239,6 @@ def generate_capacity_probe_trace(
                 ),
             ).astype(int),
         )
-        next_id = len(requests)
-        requests.extend(
-            Request.trusted(
-                arrival=t,
-                id=next_id + i,
-                app_index=app,
-                ingress=edge_nodes[node],
-                demand=demand,
-                duration=duration,
-            )
-            for i, (app, node, demand, duration) in enumerate(
-                zip(
-                    app_idx.tolist(), node_idx.tolist(),
-                    demands.tolist(), durations.tolist(),
-                )
-            )
-        )
-    return Trace(config=config, requests=requests, node_popularity=popularity)
+        return ingress, app_index, demand, duration
+
+    return trace_from_slots(config, edge_nodes, popularity, counts, draw)

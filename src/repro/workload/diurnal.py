@@ -21,8 +21,7 @@ from repro.registry import register_trace
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.rng import child_rng
 from repro.workload.popularity import assign_node_popularity
-from repro.workload.request import Request
-from repro.workload.trace import Trace, TraceConfig, _draw_requests_for_slot
+from repro.workload.trace import Trace, TraceConfig, draw_slot, trace_from_slots
 
 
 def diurnal_rates(
@@ -79,12 +78,7 @@ def generate_diurnal_trace(
     )
     counts = child_rng(rng, "diurnal-arrivals").poisson(rates)
     body_rng = child_rng(rng, "diurnal-requests")
-    requests: list[Request] = []
-    for t in range(config.total_slots):
-        requests.extend(
-            _draw_requests_for_slot(
-                t, int(counts[t]), len(requests), edge_nodes,
-                probabilities, len(apps), config, body_rng,
-            )
-        )
-    return Trace(config=config, requests=requests, node_popularity=popularity)
+    return trace_from_slots(
+        config, edge_nodes, popularity, counts,
+        lambda t, count: draw_slot(count, probabilities, len(apps), config, body_rng),
+    )

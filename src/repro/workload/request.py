@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import WorkloadError
 
@@ -30,7 +34,7 @@ class Request:
     ingress:
         Substrate node v(r) where the user θ resides.
     demand:
-        Demand size d(r) > 0.
+        Demand size 0 < d(r) < ∞.
     duration:
         Active duration T(r) ≥ 1 slots; the request occupies slots
         ``t(r) ≤ t < t(r) + T(r)``. Known to algorithms only at departure,
@@ -61,8 +65,10 @@ class Request:
         return other.__le__(self)
 
     def __post_init__(self) -> None:
-        if self.demand <= 0:
-            raise WorkloadError(f"request {self.id}: demand must be positive")
+        if not 0 < self.demand < math.inf:
+            raise WorkloadError(
+                f"request {self.id}: demand must be positive and finite"
+            )
         if self.duration < 1:
             raise WorkloadError(f"request {self.id}: duration must be >= 1")
         if self.arrival < 0:
@@ -80,12 +86,12 @@ class Request:
     ) -> "Request":
         """Construct without re-validating the invariants.
 
-        The trace generators materialize hundreds of thousands of
-        requests whose fields are guaranteed valid by construction
-        (demands clamped to a positive floor, durations ceiled to ≥ 1);
-        skipping ``__init__``/``__post_init__`` there saves a large slice
-        of trace-assembly time. Callers must guarantee the class
-        invariants themselves.
+        A trace hands out hundreds of thousands of requests whose fields
+        are guaranteed valid by construction (demands clamped to a
+        positive, finite floor, durations ceiled to ≥ 1); skipping
+        ``__init__``/``__post_init__`` there saves a large slice of
+        set-up time. Callers must guarantee the class invariants
+        themselves.
         """
         self = object.__new__(cls)
         fields = self.__dict__
@@ -108,3 +114,42 @@ class Request:
     def class_key(self) -> tuple[int, str]:
         """The (application, ingress) aggregation class of this request."""
         return (self.app_index, self.ingress)
+
+
+@dataclass(frozen=True, eq=False)
+class RequestColumns:
+    """Requests as parallel numpy columns, one row per request.
+
+    ``ingress`` holds indices into ``nodes``. Traces are drawn and
+    aggregated in this form; :class:`Request` objects are built from it
+    only where a caller asks for them.
+    """
+
+    nodes: Sequence[str]
+    arrival: np.ndarray
+    app_index: np.ndarray
+    ingress: np.ndarray
+    demand: np.ndarray
+    duration: np.ndarray
+
+    @classmethod
+    def of(cls, requests: Sequence[Request]) -> "RequestColumns":
+        """The columns of ``requests``, in their order."""
+        codes: dict[str, int] = {}
+        ingress = [codes.setdefault(r.ingress, len(codes)) for r in requests]
+        return cls(
+            list(codes),
+            np.array([r.arrival for r in requests], dtype=np.int64),
+            np.array([r.app_index for r in requests], dtype=np.int64),
+            np.array(ingress, dtype=np.int64),
+            np.array([r.demand for r in requests], dtype=float),
+            np.array([r.duration for r in requests], dtype=np.int64),
+        )
+
+    def rows(self, start: int, stop: int) -> "RequestColumns":
+        """Rows ``[start, stop)``, as views of these columns."""
+        rows = slice(start, stop)
+        return RequestColumns(
+            self.nodes, self.arrival[rows], self.app_index[rows],
+            self.ingress[rows], self.demand[rows], self.duration[rows],
+        )

@@ -9,6 +9,8 @@ Fig. 14 studies — see :mod:`repro.experiments.figures`).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,10 @@ from repro.substrate.network import SubstrateNetwork
 from repro.utils.rng import child_rng
 from repro.workload.arrivals import MMPPProcess
 from repro.workload.popularity import assign_node_popularity
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestColumns
+
+#: One slot's draws: the ingress, app_index, demand and duration columns.
+SlotColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -47,60 +52,81 @@ class TraceConfig:
     def __post_init__(self) -> None:
         if self.history_slots < 1 or self.online_slots < 1:
             raise WorkloadError("trace needs at least one slot in each phase")
-        if self.demand_mean <= 0 or self.duration_mean <= 0:
-            raise WorkloadError("demand and duration means must be positive")
+        # Requests are built from the draws unchecked (Request.trusted), so
+        # every parameter the draws depend on is checked here, NaN included.
+        positive = ("demand_mean", "demand_floor", "duration_mean")
+        for name in (*positive, "demand_std", "arrivals_per_node"):
+            value = getattr(self, name)
+            low_ok = value > 0 or (value == 0 and name not in positive)
+            if not (low_ok and math.isfinite(value)):
+                sign = "positive" if name in positive else "non-negative"
+                raise WorkloadError(f"{name} must be finite and {sign}, got {value!r}")
 
     @property
     def total_slots(self) -> int:
         return self.history_slots + self.online_slots
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """A generated request stream, split into history and online phases."""
+    """A generated request stream, split into history and online phases.
+
+    The stream is held as :class:`RequestColumns` in (arrival, id)
+    order, and the id of a request is its row. Each phase's
+    :class:`Request` list is built from the columns on its first call.
+    """
 
     config: TraceConfig
-    requests: list[Request]
+    columns: RequestColumns
     node_popularity: dict[str, float]
-    _split_cache: tuple[list[Request], list[Request]] | None = field(
-        default=None, repr=False
-    )
+    _history: list[Request] | None = field(default=None, init=False, repr=False)
+    _online: list[Request] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def _cut(self) -> int:
+        """Row of the first online request."""
+        return int(np.searchsorted(self.columns.arrival, self.config.history_slots))
+
+    def history_columns(self) -> RequestColumns:
+        """The planning (history) phase, as views of the columns."""
+        return self.columns.rows(0, self._cut)
 
     def history_requests(self) -> list[Request]:
         """Requests arriving during the planning (history) phase."""
-        return self._split()[0]
+        if self._history is None:
+            self._history = self._requests(0, self._cut, 0)
+        return self._history
 
     def online_requests(self) -> list[Request]:
         """Requests arriving during the online phase, re-based to slot 0."""
-        return self._split()[1]
+        if self._online is None:
+            self._online = self._requests(
+                self._cut, self.num_requests, self.config.history_slots
+            )
+        return self._online
 
-    def _split(self) -> tuple[list[Request], list[Request]]:
-        if self._split_cache is None:
-            cut = self.config.history_slots
-            history = [r for r in self.requests if r.arrival < cut]
-            # Re-basing preserves every invariant of the source request.
-            online = [
-                Request.trusted(
-                    arrival=r.arrival - cut,
-                    id=r.id,
-                    app_index=r.app_index,
-                    ingress=r.ingress,
-                    demand=r.demand,
-                    duration=r.duration,
-                )
-                for r in self.requests
-                if r.arrival >= cut
-            ]
-            self._split_cache = (history, online)
-        return self._split_cache
+    def _requests(self, start: int, stop: int, base: int) -> list[Request]:
+        """Rows ``[start, stop)`` as Requests, arrivals less ``base``."""
+        rows = self.columns.rows(start, stop)
+        nodes, make = rows.nodes, Request.trusted
+        # The draws' clamps and TraceConfig's checks guarantee the
+        # Request invariants (0 < demand < ∞, duration ≥ 1).
+        return [
+            make(arrival, request_id, app, nodes[node], demand, duration)
+            for request_id, arrival, app, node, demand, duration in zip(
+                range(start, stop), (rows.arrival - base).tolist(),
+                rows.app_index.tolist(), rows.ingress.tolist(),
+                rows.demand.tolist(), rows.duration.tolist(),
+            )
+        ]
 
     @property
     def num_requests(self) -> int:
-        return len(self.requests)
+        return len(self.columns.arrival)
 
     def mean_rate(self) -> float:
         """Mean arrivals per slot over the whole trace."""
-        return len(self.requests) / self.config.total_slots
+        return self.num_requests / self.config.total_slots
 
 
 def mean_application_footprint(apps: list[Application]) -> float:
@@ -136,47 +162,50 @@ def demand_mean_for_utilization(
     return utilization * substrate.total_edge_capacity() / (active * footprint)
 
 
-def _draw_requests_for_slot(
-    t: int,
+def draw_slot(
     count: int,
-    next_id: int,
-    nodes: list[str],
     probabilities: np.ndarray,
     num_apps: int,
     config: TraceConfig,
     rng: np.random.Generator,
-) -> list[Request]:
-    """Materialize ``count`` requests arriving in slot ``t``."""
-    if count == 0:
-        return []
-    node_idx = rng.choice(len(nodes), size=count, p=probabilities)
-    app_idx = rng.integers(0, num_apps, size=count)
-    demands = np.maximum(
+) -> SlotColumns:
+    """The Table III draws for ``count`` requests arriving in one slot."""
+    ingress = rng.choice(len(probabilities), size=count, p=probabilities)
+    app_index = rng.integers(0, num_apps, size=count)
+    demand = np.maximum(
         config.demand_floor,
         rng.normal(config.demand_mean, config.demand_std, size=count),
     )
-    durations = np.maximum(
+    duration = np.maximum(
         1, np.ceil(rng.exponential(config.duration_mean, size=count))
     ).astype(int)
-    # The clamps above guarantee the Request invariants (demand ≥ floor,
-    # duration ≥ 1), so the bulk path skips per-object validation.
-    make = Request.trusted if config.demand_floor > 0 else Request
-    return [
-        make(
-            arrival=t,
-            id=next_id + i,
-            app_index=app,
-            ingress=nodes[node],
-            demand=demand,
-            duration=duration,
-        )
-        for i, (app, node, demand, duration) in enumerate(
-            zip(
-                app_idx.tolist(), node_idx.tolist(),
-                demands.tolist(), durations.tolist(),
-            )
-        )
-    ]
+    return ingress, app_index, demand, duration
+
+
+def trace_from_slots(
+    config: TraceConfig,
+    nodes: list[str],
+    node_popularity: dict[str, float],
+    counts: np.ndarray,
+    draw: Callable[[int, int], SlotColumns],
+) -> Trace:
+    """Assemble a trace from per-slot arrival ``counts``.
+
+    ``draw(t, count)`` returns the columns of the ``count`` requests
+    arriving in slot ``t``. It is called for every slot with arrivals,
+    in slot order, so the generator's RNG stream is consumed in that
+    order and never for an empty slot.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, empty.astype(float), empty)]
+    parts += [draw(t, count) for t, count in enumerate(counts.tolist()) if count]
+    ingress, app_index, demand, duration = (np.concatenate(c) for c in zip(*parts))
+    arrival = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return Trace(
+        config,
+        RequestColumns(nodes, arrival, app_index, ingress, demand, duration),
+        node_popularity,
+    )
 
 
 @register_trace("mmpp", description="bursty MMPP arrivals (Table III default)")
@@ -204,15 +233,10 @@ def generate_mmpp_trace(
     )
     counts = process.counts(config.total_slots, child_rng(rng, "mmpp"))
     body_rng = child_rng(rng, "requests")
-    requests: list[Request] = []
-    for t in range(config.total_slots):
-        requests.extend(
-            _draw_requests_for_slot(
-                t, int(counts[t]), len(requests), edge_nodes,
-                probabilities, len(apps), config, body_rng,
-            )
-        )
-    return Trace(config=config, requests=requests, node_popularity=popularity)
+    return trace_from_slots(
+        config, edge_nodes, popularity, counts,
+        lambda t, count: draw_slot(count, probabilities, len(apps), config, body_rng),
+    )
 
 
 @register_trace(
@@ -256,12 +280,7 @@ def generate_caida_like_trace(
         rate, size=config.total_slots
     )
     body_rng = child_rng(rng, "caida-requests")
-    requests: list[Request] = []
-    for t in range(config.total_slots):
-        requests.extend(
-            _draw_requests_for_slot(
-                t, int(counts[t]), len(requests), edge_nodes,
-                node_prob, len(apps), config, body_rng,
-            )
-        )
-    return Trace(config=config, requests=requests, node_popularity=popularity)
+    return trace_from_slots(
+        config, edge_nodes, popularity, counts,
+        lambda t, count: draw_slot(count, node_prob, len(apps), config, body_rng),
+    )

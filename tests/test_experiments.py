@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import run_single, summarize_run
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.experiments.config import (
     BENCH_UTILIZATIONS,
     PAPER_UTILIZATIONS,
@@ -45,17 +45,27 @@ class TestConfig:
         ExperimentConfig.test()
 
 
+def all_requests(scenario):
+    """The scenario's whole trace as handed out: history, then online."""
+    trace = scenario.trace
+    return trace.history_requests() + trace.online_requests()
+
+
 class TestScenario:
     def test_deterministic_given_seed(self, test_config):
         a = build_scenario(test_config, seed=3)
         b = build_scenario(test_config, seed=3)
-        assert a.trace.requests == b.trace.requests
+        assert all_requests(a) == all_requests(b)
         assert set(a.plan.classes) == set(b.plan.classes)
 
     def test_different_seed_different_trace(self, test_config):
         a = build_scenario(test_config, seed=3)
         b = build_scenario(test_config, seed=4)
-        assert a.trace.requests != b.trace.requests
+        assert all_requests(a) != all_requests(b)
+
+    def test_negative_demand_cv_is_a_workload_error(self, test_config):
+        with pytest.raises(WorkloadError, match="demand_std"):
+            build_scenario(test_config.with_(demand_cv=-0.5), seed=0)
 
     def test_without_plan(self, test_config):
         scenario = build_scenario(test_config, seed=0, with_plan=False)
@@ -69,12 +79,12 @@ class TestScenario:
             < full.plan.total_guaranteed_demand()
         )
         # The online workload itself must be identical.
-        assert scaled.trace.requests == full.trace.requests
+        assert all_requests(scaled) == all_requests(full)
 
     def test_shifted_plan_keeps_online_trace(self, test_config):
         base = build_scenario(test_config, seed=2)
         shifted = build_scenario(test_config, seed=2, shift_plan_ingress=True)
-        assert shifted.trace.requests == base.trace.requests
+        assert all_requests(shifted) == all_requests(base)
         # With shifted ingress the per-class guarantees differ.
         base_keys = {
             k: round(v.guaranteed_demand())

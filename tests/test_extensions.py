@@ -209,7 +209,8 @@ class TestDiurnal:
         config = TraceConfig(history_slots=50, online_slots=10)
         a = generate_diurnal_trace(line_substrate, apps, config, make_rng(3))
         b = generate_diurnal_trace(line_substrate, apps, config, make_rng(3))
-        assert a.requests == b.requests
+        assert a.history_requests() == b.history_requests()
+        assert a.online_requests() == b.online_requests()
 
 
 class TestTopologyAnalysis:

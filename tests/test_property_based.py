@@ -16,7 +16,7 @@ from repro.stats.aggregate import class_demand_series
 from repro.stats.bootstrap import bootstrap_percentile
 from repro.utils.rng import make_rng
 from repro.workload.popularity import zipf_weights
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestColumns
 from tests.conftest import make_line_substrate, residual_of_node
 
 
@@ -208,23 +208,39 @@ def test_zipf_weights_are_a_distribution(count, alpha):
     assert (np.diff(weights) <= 1e-12).all()
 
 
+def demand_series_loop(requests, horizon):
+    """Plain per-request twin of ``class_demand_series``."""
+    series = {}
+    for r in requests:
+        out = series.setdefault(r.class_key(), np.zeros(horizon))
+        out[min(r.arrival, horizon):min(r.departure, horizon)] += r.demand
+    return series
+
+
 @given(
     st.lists(
-        st.tuples(st.integers(0, 20), st.integers(1, 10), st.floats(0.1, 5)),
+        st.tuples(
+            st.integers(0, 20), st.integers(1, 10), st.floats(0.1, 5),
+            st.integers(0, 2), st.sampled_from("abc"),
+        ),
         min_size=1,
         max_size=30,
     )
 )
 @settings(max_examples=60, deadline=None)
 def test_demand_series_mass_conservation(raw):
-    """Σ_t d(r̃, t) equals Σ_r d(r)·(active slots within horizon)."""
+    """Σ_t d(r̃, t) equals Σ_r d(r)·(active slots within horizon).
+
+    The columns path also equals its plain per-request loop twin on
+    every slot, bit for bit, given either Requests or their columns.
+    """
     horizon = 25
     requests = [
         Request(
-            arrival=arrival, id=i, app_index=0, ingress="a",
+            arrival=arrival, id=i, app_index=app, ingress=ingress,
             demand=demand, duration=duration,
         )
-        for i, (arrival, duration, demand) in enumerate(raw)
+        for i, (arrival, duration, demand, app, ingress) in enumerate(raw)
     ]
     series = class_demand_series(requests, horizon)
     total = sum(s.sum() for s in series.values())
@@ -233,6 +249,13 @@ def test_demand_series_mass_conservation(raw):
         for r in requests
     )
     assert total == pytest.approx(expected)
+    twin = demand_series_loop(requests, horizon)
+    assert list(series) == list(twin)
+    for columns_series in (
+        series, class_demand_series(RequestColumns.of(requests), horizon)
+    ):
+        for key, values in twin.items():
+            assert (columns_series[key] == values).all()
 
 
 @given(

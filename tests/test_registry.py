@@ -191,7 +191,7 @@ class TestScenarioDispatch:
             measure_start=2, measure_stop=10,
         )
         scenario = build_scenario(config, seed=0, with_plan=False)
-        assert scenario.trace.requests
+        assert scenario.trace.num_requests
 
     def test_explicit_efficiency_choice(self):
         config = ExperimentConfig.test(efficiency="gpu")

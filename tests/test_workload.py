@@ -25,6 +25,11 @@ from repro.workload.trace import (
 )
 
 
+def all_requests(trace):
+    """Every request of ``trace`` as handed out: history, then online."""
+    return trace.history_requests() + trace.online_requests()
+
+
 class TestRequest:
     def test_activity_interval_is_half_open(self):
         request = Request(
@@ -47,6 +52,8 @@ class TestRequest:
         [
             dict(demand=0.0),
             dict(demand=-1.0),
+            dict(demand=float("nan")),
+            dict(demand=float("inf")),
             dict(duration=0),
             dict(arrival=-1),
         ],
@@ -157,19 +164,19 @@ class TestTrace:
         apps = [make_chain(rng, num_vnfs=3)]
         trace = generate_mmpp_trace(line_substrate, apps, self._config(), rng)
         edge = set(line_substrate.edge_nodes)
-        assert all(r.ingress in edge for r in trace.requests)
+        assert all(r.ingress in edge for r in all_requests(trace))
 
     def test_demands_positive_durations_at_least_one(self, line_substrate, rng):
         apps = [make_chain(rng, num_vnfs=3)]
         trace = generate_mmpp_trace(line_substrate, apps, self._config(), rng)
-        assert all(r.demand > 0 for r in trace.requests)
-        assert all(r.duration >= 1 for r in trace.requests)
+        assert all(r.demand > 0 for r in all_requests(trace))
+        assert all(r.duration >= 1 for r in all_requests(trace))
 
     def test_trace_is_deterministic_per_seed(self, line_substrate):
         apps = [make_chain(make_rng(0), num_vnfs=3)]
         a = generate_mmpp_trace(line_substrate, apps, self._config(), make_rng(5))
         b = generate_mmpp_trace(line_substrate, apps, self._config(), make_rng(5))
-        assert a.requests == b.requests
+        assert all_requests(a) == all_requests(b)
 
     def test_caida_trace_basic_properties(self, line_substrate, rng):
         apps = [make_chain(rng, num_vnfs=3)]
@@ -178,13 +185,68 @@ class TestTrace:
         )
         assert trace.num_requests > 0
         edge = set(line_substrate.edge_nodes)
-        assert all(r.ingress in edge for r in trace.requests)
+        assert all(r.ingress in edge for r in all_requests(trace))
 
     def test_trace_config_validation(self):
         with pytest.raises(WorkloadError):
             TraceConfig(history_slots=0)
         with pytest.raises(WorkloadError):
             TraceConfig(demand_mean=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("demand_floor", 0.0),
+            ("demand_floor", -1.0),
+            ("demand_floor", float("nan")),
+            ("demand_mean", float("nan")),
+            ("duration_mean", float("inf")),
+            ("demand_std", -1.0),
+            ("arrivals_per_node", -1.0),
+            ("arrivals_per_node", float("nan")),
+        ],
+    )
+    def test_trace_config_refuses_what_the_draws_cannot_take(
+        self, name, value
+    ):
+        # Each of these once came out of generation as a request with a
+        # non-positive or NaN demand, a negative duration, or a raw numpy
+        # ValueError.
+        with pytest.raises(WorkloadError, match=name):
+            TraceConfig(**{name: value})
+
+    def test_online_requests_are_built_once(self, line_substrate, rng):
+        apps = [make_chain(rng, num_vnfs=3)]
+        trace = generate_mmpp_trace(line_substrate, apps, self._config(), rng)
+        assert trace.online_requests() is trace.online_requests()
+        assert trace.history_requests() is trace.history_requests()
+
+    @pytest.mark.parametrize("algorithm", ["QUICKG", "OLIVE"])
+    def test_serve_builds_no_request(self, monkeypatch, algorithm):
+        from repro.api import Experiment
+        from repro.experiments.config import ExperimentConfig
+
+        built = []
+        trusted, init = Request.trusted.__func__, Request.__init__
+
+        def counted_trusted(cls, *args, **kwargs):
+            built.append(args)
+            return trusted(cls, *args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Request, "trusted", classmethod(counted_trusted))
+        monkeypatch.setattr(Request, "__init__", counted_init)
+        experiment = Experiment(ExperimentConfig.test()).algorithms(algorithm)
+        service = experiment.serve()
+        assert service.scenario.trace.num_requests > 0
+        assert (algorithm == "OLIVE") == (not service.scenario.plan.is_empty)
+        assert built == []
+        # The counters see a Request as soon as one is asked for.
+        service.scenario.online_requests()
+        assert built
 
 
 class TestAdversarialTraces:
@@ -211,12 +273,12 @@ class TestAdversarialTraces:
         apps = self._apps(make_rng(0))
         a = generate(line_substrate, apps, self._config(), make_rng(7))
         b = generate(line_substrate, apps, self._config(), make_rng(7))
-        assert a.requests == b.requests
+        assert all_requests(a) == all_requests(b)
         assert a.num_requests > 0
         edge = set(line_substrate.edge_nodes)
-        assert all(r.ingress in edge for r in a.requests)
-        assert all(r.demand > 0 and r.duration >= 1 for r in a.requests)
-        assert all(r.arrival < self._config().total_slots for r in a.requests)
+        assert all(r.ingress in edge for r in all_requests(a))
+        assert all(r.demand > 0 and r.duration >= 1 for r in all_requests(a))
+        assert (a.columns.arrival < self._config().total_slots).all()
 
     def test_pareto_burst_is_heavier_tailed_than_poisson(self):
         rng = make_rng(3)
@@ -235,7 +297,6 @@ class TestAdversarialTraces:
         trace = generate_ingress_hotspot_trace(
             line_substrate, apps, config, make_rng(11), concentration=0.9
         )
-        cut = config.history_slots
 
         def top_ingress(requests):
             share = {}
@@ -243,8 +304,8 @@ class TestAdversarialTraces:
                 share[r.ingress] = share.get(r.ingress, 0) + 1
             return max(share, key=share.get)
 
-        history_hot = top_ingress([r for r in trace.requests if r.arrival < cut])
-        online_hot = top_ingress([r for r in trace.requests if r.arrival >= cut])
+        history_hot = top_ingress(trace.history_requests())
+        online_hot = top_ingress(trace.online_requests())
         assert history_hot != online_hot
 
     def test_hotspot_concentration_observed(self, line_substrate):
@@ -253,8 +314,7 @@ class TestAdversarialTraces:
             line_substrate, apps, self._config(), make_rng(11),
             concentration=0.8,
         )
-        cut = trace.config.history_slots
-        history = [r for r in trace.requests if r.arrival < cut]
+        history = trace.history_requests()
         share = {}
         for r in history:
             share[r.ingress] = share.get(r.ingress, 0) + 1
@@ -287,15 +347,12 @@ class TestAdversarialTraces:
             line_substrate, apps, config, make_rng(13),
             probe_fraction=0.9, spike_multiplier=8.0,
         )
-        demands = np.array([r.demand for r in trace.requests])
+        demands = trace.columns.demand
         probes = demands <= config.demand_floor + 1e-9
         assert probes.mean() == pytest.approx(0.9, abs=0.05)
         # Spikes sit around 8× the configured mean, far above the probes.
         assert demands[~probes].mean() > 4 * config.demand_mean
-        probe_durations = [
-            r.duration for r, p in zip(trace.requests, probes) if p
-        ]
-        assert set(probe_durations) == {1}
+        assert set(trace.columns.duration[probes].tolist()) == {1}
 
     def test_capacity_probe_parameter_validation(self, line_substrate, rng):
         apps = self._apps(rng)
