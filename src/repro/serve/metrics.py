@@ -15,6 +15,7 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from repro.errors import SimulationError
 from repro.sim.session import SlotReport
 
 
@@ -92,7 +93,9 @@ class MetricsStream:
 
     def __init__(self, window: int = 512) -> None:
         if window < 1:
-            raise ValueError(f"metrics window must be >= 1 (got {window})")
+            raise SimulationError(
+                f"metrics window must be >= 1 (got {window})"
+            )
         self.window = window
         self._latencies: deque[float] = deque(maxlen=window)
         self._outcomes: deque[bool] = deque(maxlen=window)
@@ -130,33 +133,18 @@ class MetricsStream:
 
     # -- recording -----------------------------------------------------------
 
-    def record_offer(self, accepted: bool, latency_seconds: float) -> None:
-        """One offer that reached the algorithm."""
-        self.offers += 1
-        if accepted:
-            self.accepted += 1
-        else:
-            self.rejected += 1
-        self._outcomes.append(accepted)
-        self._latencies.append(latency_seconds)
-
     def record_offers(
         self, accepted_flags: list[bool], latency_seconds: float
     ) -> None:
-        """A run of offers sharing one amortized per-offer latency.
-
-        Equivalent to calling :meth:`record_offer` once per flag with
-        the same latency — the bulk entry point
-        (:meth:`~repro.serve.service.EmbedderService.offer_many`) uses
-        it so per-offer accounting stays off the batched hot path.
-        """
+        """Offers that reached the algorithm, one accepted flag each,
+        sharing one amortized per-offer latency."""
         n = len(accepted_flags)
-        accepted = sum(accepted_flags)
+        accepted = accepted_flags.count(True)
         self.offers += n
         self.accepted += accepted
         self.rejected += n - accepted
-        self._outcomes.extend(accepted_flags)
-        self._latencies.extend([latency_seconds] * n)
+        self._outcomes += accepted_flags
+        self._latencies += [latency_seconds] * n
 
     def record_shed(self) -> None:
         """One offer shed by admission policy or backpressure.

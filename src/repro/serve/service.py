@@ -4,15 +4,13 @@
 :class:`~repro.sim.session.SimulationSession` and turns it into the
 ROADMAP's long-running embedder serving live traffic:
 
-* ``offer(request) → Decision`` — the synchronous admission API. The
-  service advances the session to the request's arrival slot, consults
-  its admission policy (shedding costs the algorithm nothing), and
-  hands admitted offers to the algorithm mid-slot. Same-slot offers are
-  **micro-batched**: they share one open slot — departures, capacity
-  events and per-slot accounting are paid once per slot, not once per
-  offer. ``offer_many`` takes an explicit list and additionally pays
-  the per-offer session plumbing once per slot run, bit-identical to
-  sequential offers.
+* ``offer_many(requests)`` / ``offer(request)`` — the synchronous
+  admission API (``offer`` is a run of one). The service advances the
+  session to each run's arrival slot, consults its admission policy
+  per request (shedding costs the algorithm nothing), and hands
+  admitted offers to the algorithm mid-slot. Same-slot offers share
+  one open slot — departures, capacity events and per-slot accounting
+  are paid once per slot, not once per offer.
 * ``schedule(request) → bool`` — enqueue a future arrival, subject to
   the ``max_pending`` queue bound (backpressure: a full queue sheds
   instead of growing without limit).
@@ -37,6 +35,8 @@ from __future__ import annotations
 import pickle
 import time
 from collections import deque
+from itertools import groupby
+from operator import attrgetter
 from typing import Any
 
 from repro.core.olive import Decision
@@ -53,6 +53,16 @@ from repro.sim.session import (
     load_checkpoint,
 )
 from repro.workload.request import Request
+
+
+_arrival = attrgetter("arrival")
+
+
+def slot_runs(requests: list[Request]) -> list[list[Request]]:
+    """``requests`` cut into its maximal runs of one arrival slot."""
+    if len(requests) == 1:  # offer(): skip groupby's set-up
+        return [requests]
+    return [list(run) for _, run in groupby(requests, _arrival)]
 
 
 class EmbedderService:
@@ -160,84 +170,38 @@ class EmbedderService:
     # -- the admission API ---------------------------------------------------
 
     def offer(self, request: Request) -> Decision:
-        """Offer one arrival; return the decision synchronously.
-
-        The request's arrival slot must not lie in the past; offering
-        for a future slot first drains the slots in between (their
-        departures and events happen on the way). Offers shed by the
-        admission policy return ``Decision(accepted=False)`` without the
-        algorithm ever seeing them — they are visible in
-        :attr:`metrics` (``shed``) and :attr:`recent_shed`, not in the
-        session's decision log.
-        """
-        self._ensure_slot(request)
-        # Latency is measured from here: slot drains on the way to a
-        # future arrival (departures, events, preloaded-trace work) are
-        # simulated-time progress, not part of this offer's decision.
-        start = time.perf_counter()  # repro-lint: allow[RPR003] decision-latency telemetry (MetricsStream p50/p99); never reaches results or goldens
-        if self._decide(request) is not None:
-            return Decision(request=request, accepted=False)
-        decision = self.session.process(request)
-        self.metrics.record_offer(
-            decision.accepted,
-            time.perf_counter() - start,  # repro-lint: allow[RPR003] decision-latency telemetry (MetricsStream p50/p99); never reaches results or goldens
-        )
-        return decision
+        """Offer one arrival; return the decision synchronously:
+        ``offer_many([request])[0]``."""
+        return self.offer_many([request])[0]
 
     def offer_many(self, requests: list[Request]) -> list[Decision]:
-        """Offer a run of arrivals, coalesced per slot — the batched API.
+        """Offer arrivals in order (non-decreasing, none in the past);
+        one decision per request.
 
-        **Decision-equivalent to calling** :meth:`offer` **per request in
-        order** (the serve test tier asserts bit-identity): arrivals must
-        be non-decreasing, each slot's run shares one open slot, the
-        admission policy is consulted per request at exactly the point
-        its sequential offer would have been, and admitted requests
-        commit in order through
-        :meth:`~repro.sim.session.SimulationSession.process_many`, the
-        session-level bulk path. What changes is only the per-offer
-        overhead: slot bookkeeping, timing and metrics are paid once per
-        run, and each admitted offer records the run's amortized
-        per-offer latency instead of an individually timed one.
+        Offering for a future slot first drains the slots in between.
+        Each slot's run goes through
+        :meth:`~repro.sim.session.SimulationSession.process_many` with
+        the admission policy as its per-request hook, so how a stream is
+        cut into calls changes no decision. A shed offer returns
+        ``Decision(accepted=False)``, the algorithm never sees it, and it
+        shows in :attr:`metrics` (``shed``) and :attr:`recent_shed`.
+        Every decided offer records its run's mean latency, timed from
+        the open slot: drains on the way are not decision work.
         """
         decisions: list[Decision] = []
-        # The stateless admit-everything base policy can never shed, so
-        # the per-request admission callback (and its call overhead in
-        # the session loop) is skipped entirely — any subclass, stateful
-        # or not, keeps the exact sequential consultation order.
-        decide = (
-            None if type(self.admission) is AdmissionPolicy else self._decide
-        )
-        total = len(requests)
-        i = 0
-        while i < total:
-            j = i + 1
-            arrival = requests[i].arrival
-            while j < total and requests[j].arrival == arrival:
-                j += 1
-            run = requests[i:j]
+        for run in slot_runs(requests):
             self._ensure_slot(run[0])
             start = time.perf_counter()  # repro-lint: allow[RPR003] decision-latency telemetry (MetricsStream p50/p99); never reaches results or goldens
-            outcomes = self.session.process_many(run, decide=decide)
-            latency = (
-                time.perf_counter() - start  # repro-lint: allow[RPR003] decision-latency telemetry (MetricsStream p50/p99); never reaches results or goldens
-            ) / len(run)
-            settled = [o for o in outcomes if o is not None]
-            if len(settled) == len(outcomes):
-                self.metrics.record_offers(
-                    [outcome.accepted for outcome in settled], latency
-                )
-                decisions.extend(settled)
-            else:
-                for request, outcome in zip(run, outcomes):
-                    if outcome is None:
-                        # Shed by admission; _decide already recorded it.
-                        decisions.append(
-                            Decision(request=request, accepted=False)
-                        )
-                    else:
-                        self.metrics.record_offer(outcome.accepted, latency)
-                        decisions.append(outcome)
-            i = j
+            outcomes = self.session.process_many(run, decide=self._decide)
+            latency = (time.perf_counter() - start) / len(run)  # repro-lint: allow[RPR003] decision-latency telemetry (MetricsStream p50/p99); never reaches results or goldens
+            decided: list[bool] = []
+            for request, outcome in zip(run, outcomes):
+                if outcome is None:
+                    outcome = Decision(request=request, accepted=False)
+                else:
+                    decided.append(outcome.accepted)
+                decisions.append(outcome)
+            self.metrics.record_offers(decided, latency)
         return decisions
 
     def schedule(self, request: Request) -> bool:
@@ -328,10 +292,8 @@ class EmbedderService:
     def _decide(self, request: Request) -> str | None:
         """Consult admission for one offer; record and return a shed reason.
 
-        ``None`` means admitted. Shared by :meth:`offer` and (as the
-        per-request callback threaded into ``session.process_many``) by
-        :meth:`offer_many`, so stateful policies observe the exact same
-        call sequence on both paths.
+        ``None`` means admitted. The per-request hook every
+        ``session.process_many`` call of :meth:`offer_many` carries.
         """
         reason = self.admission.decide(request, self)
         if reason is not None:
@@ -342,6 +304,8 @@ class EmbedderService:
     def _ensure_slot(self, request: Request) -> None:
         """Advance to the request's arrival slot and open it."""
         session = self.session
+        if request.arrival == session.clock and session.slot_open:
+            return  # the common case: the run's slot is already open
         if session.is_done:
             raise SimulationError(
                 f"the service's {self.horizon}-slot horizon has ended"
@@ -378,4 +342,4 @@ class EmbedderService:
         )
 
 
-__all__ = ["EmbedderService", "MetricsStream", "ServiceMetrics"]
+__all__ = ["EmbedderService", "MetricsStream", "ServiceMetrics", "slot_runs"]

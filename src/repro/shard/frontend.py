@@ -55,7 +55,7 @@ from repro.core.olive import Decision
 from repro.errors import ShardError, SimulationError
 from repro.registry import algorithm_registry
 from repro.serve.metrics import MetricsStream, ServiceMetrics
-from repro.serve.service import EmbedderService
+from repro.serve.service import EmbedderService, slot_runs
 from repro.shard.partition import (
     SubstratePartition,
     partition_substrate,
@@ -240,15 +240,8 @@ class ShardedEmbedderService:
     def offer_many(self, requests: list[Request]) -> list[Decision]:
         """Offer a run of arrivals, coalesced per slot and per shard."""
         decisions: list[Decision] = []
-        total = len(requests)
-        i = 0
-        while i < total:
-            j = i + 1
-            arrival = requests[i].arrival
-            while j < total and requests[j].arrival == arrival:
-                j += 1
-            decisions.extend(self._offer_run(requests[i:j]))
-            i = j
+        for run in slot_runs(requests):
+            decisions.extend(self._offer_run(run))
         return decisions
 
     def _offer_run(self, run: list[Request]) -> list[Decision]:

@@ -12,10 +12,11 @@ as a first-class lifecycle:
 * ``step()`` / ``run_until(t)`` advance one slot at a time, yielding a
   :class:`SlotReport` per slot (decisions, departures, disruptions,
   demand and cost);
-* ``begin_slot()`` / ``process(request)`` / ``close_slot()`` split one
+* ``begin_slot()`` / ``process_many(run)`` / ``close_slot()`` split one
   slot further, so a service layer (:mod:`repro.serve`) can hand
   same-slot arrivals to the algorithm *while the slot is open* and
-  return each decision synchronously;
+  return each decision synchronously (``process(request)`` is a run of
+  one);
 * ``snapshot()`` / :meth:`SimulationSession.restore` checkpoint and
   resume mid-run state — algorithm residuals, pending arrivals, the
   event cursor and all accumulated metrics;
@@ -35,8 +36,13 @@ arrivals are processed in ``(arrival, id)`` order. Two algorithm shapes
 are supported — per-request algorithms (OLIVE, QUICKG, FULLG) expose
 ``process(request) → Decision`` and may take mid-slot arrivals; batch
 algorithms (SLOTOFF) expose ``run_slot(t, arrivals)``, which consumes
-the whole slot at ``close_slot()`` time, so they can be stepped and
+the whole slot at ``begin_slot()`` time, so they can be stepped and
 checkpointed but not offered mid-slot arrivals.
+
+Every per-request arrival — scheduled or offered mid-slot, alone or in
+a run — is decided by one loop (``SimulationSession._decide_run``), and a
+request's demand and departure are booked when it is decided: one it
+never reached, shed or refused leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -48,7 +54,9 @@ import io
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar, cast,
+)
 
 import numpy as np
 
@@ -95,7 +103,9 @@ class SlotReport:
 
 
 #: First element of the header pickled ahead of a checkpoint's body.
-_SNAPSHOT_TAG = "repro.SessionSnapshot/1"
+#: ``/2``: the departure calendar holds decided requests only (``/1``
+#: held every scheduled arrival's departure from the start).
+_SNAPSHOT_TAG = "repro.SessionSnapshot/2"
 
 _Root = TypeVar("_Root")
 
@@ -264,7 +274,10 @@ class SimulationSession:
             # a bad schedule should not die mid-run with a raw KeyError.
             substrate = getattr(algorithm, "substrate", None)
             if substrate is not None:
-                events.validate(substrate)
+                apps = getattr(algorithm, "apps", None)
+                events.validate(
+                    substrate, None if apps is None else len(apps)
+                )
             # Workload events rewrite the stream deterministically before
             # the run; every compared algorithm sees the identical
             # perturbed trace (the paper's same-trace methodology). The
@@ -300,18 +313,14 @@ class SimulationSession:
                     f"beyond the {num_slots}-slot horizon"
                 )
 
-        # Calendars of what is still ahead: begin_slot() pops the slot's
-        # departures, close_slot() its arrivals.
+        # Calendars of what is still ahead; begin_slot() pops the slot's
+        # entries. A departure is booked when its request is decided.
         self._arrivals_by_slot: dict[int, list[Request]] = {}
         self._departures_by_slot: dict[int, list[Request]] = {}
         for request in requests:
             self._arrivals_by_slot.setdefault(request.arrival, []).append(
                 request
             )
-            if request.departure < num_slots:
-                self._departures_by_slot.setdefault(
-                    request.departure, []
-                ).append(request)
         self._pending_arrivals = len(requests)
 
         self._clock = 0
@@ -387,7 +396,7 @@ class SimulationSession:
         other, and an attached schedule's ingress migrations re-home it
         just like they rewrote the seed stream. The target slot must not
         have begun yet — arrivals for the currently open slot go through
-        :meth:`process` instead.
+        :meth:`process_many` instead.
         """
         if self.events is not None:
             request = self.events.apply_migrations(request)
@@ -408,11 +417,6 @@ class SimulationSession:
         bisect.insort(
             self._arrivals_by_slot.setdefault(request.arrival, []), request
         )
-        if request.departure < self.num_slots:
-            bisect.insort(
-                self._departures_by_slot.setdefault(request.departure, []),
-                request,
-            )
         self._pending_arrivals += 1
 
     # -- the slot lifecycle --------------------------------------------------
@@ -421,7 +425,11 @@ class SimulationSession:
         """Open the next slot: departures, capacity events, scheduled
         arrivals — everything that happens at slot start, in the batch
         engine's exact order. Mid-slot arrivals may then be handed to
-        :meth:`process` until :meth:`close_slot` seals the slot.
+        :meth:`process_many` until :meth:`close_slot` seals the slot.
+
+        A batch algorithm solves its whole slot here: nothing can join
+        an open slot of one (mid-slot arrivals are refused, and
+        :meth:`submit` takes future slots only).
         """
         if self._slot_open:
             raise SimulationError(f"slot {self._clock} is already open")
@@ -430,9 +438,8 @@ class SimulationSession:
                 f"session already ran its {self.num_slots}-slot horizon"
             )
         t = self._clock
-        arrivals = self._arrivals_by_slot.get(t, ())
+        arrivals = self._arrivals_by_slot.pop(t, [])
         self._pending_arrivals -= len(arrivals)
-        self._requested[t] = sum(r.demand for r in arrivals)
         self._slot_departures = tuple(self._departures_by_slot.pop(t, ()))
         self._slot_decisions_from = len(self._decisions)
         self._slot_preemptions_from = len(self._preemptions)
@@ -458,48 +465,20 @@ class SimulationSession:
         on_slot = getattr(algorithm, "on_slot", None)
         if on_slot is not None:
             on_slot(t)
-        if not self._is_batch and arrivals:
-            self._commit_run(arrivals)
+        if self._is_batch:
+            solved = algorithm.run_slot(t, arrivals)
+            self._decisions.extend(solved.decisions)
+            self._preemptions.extend((r, t) for r in solved.dropped)
+            self._book(arrivals)
         self._slot_runtime = time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
+        if not self._is_batch:
+            # Scheduled arrivals were re-homed when they were scheduled.
+            self._decide_run(arrivals, None, None)
 
     def process(self, request: Request) -> Decision:
-        """Hand one mid-slot arrival to the algorithm, synchronously.
-
-        The slot must be open and the request must arrive in it; batch
-        algorithms cannot take mid-slot arrivals (their whole slot is
-        solved at once) — :meth:`submit` the request instead. An attached
-        schedule's ingress migrations re-home the request exactly like a
-        trace arrival in the same window. This is the primitive
-        :class:`repro.serve.EmbedderService` micro-batches same-slot
-        offers through.
-        """
-        if self.events is not None:
-            request = self.events.apply_migrations(request)
-        if not self._slot_open:
-            raise SimulationError(
-                f"no slot is open (clock at {self._clock}); call "
-                "begin_slot() first"
-            )
-        if self._is_batch:
-            raise SimulationError(
-                f"algorithm {self.algorithm.name!r} solves whole slots at "
-                "once (batch shape) and cannot take mid-slot arrivals; "
-                "submit() the request for a future slot instead"
-            )
-        t = self._clock
-        if request.arrival != t:
-            raise SimulationError(
-                f"request {request.id} arrives at {request.arrival}, but "
-                f"the open slot is {t}"
-            )
-        start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        decision = self.algorithm.process(request)
-        self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        self._book((request,))
-        self._decisions.append(decision)
-        if decision.preempted:
-            self._preemptions.extend((r, t) for r in decision.preempted)
-        return decision
+        """Hand one mid-slot arrival to the algorithm, synchronously:
+        ``process_many([request])[0]``."""
+        return cast(Decision, self.process_many([request])[0])
 
     def process_many(
         self,
@@ -507,21 +486,19 @@ class SimulationSession:
         *,
         decide: Callable[[Request], str | None] | None = None,
     ) -> list["Decision | None"]:
-        """Hand a same-slot run of arrivals to the algorithm in one call.
+        """Hand a same-slot run of mid-slot arrivals to the algorithm.
 
-        Sequential-equivalent to calling :meth:`process` per request in
-        order — identical decisions, identical residual trajectory,
-        identical log when the algorithm raises mid-run — but the
-        per-offer plumbing (migration application, departure
-        registration, timing) is paid once per run.
+        The slot must be open and every request must arrive in it; batch
+        algorithms cannot take mid-slot arrivals — :meth:`submit` the
+        requests instead. An attached schedule's ingress migrations
+        re-home each request like a trace arrival in the same window.
+        The run takes the loop scheduled arrivals take, so how arrivals
+        are cut into runs changes nothing, errors mid-run included.
 
         ``decide`` is an optional admission hook called with each
-        *original* request immediately before it would commit (so a
-        stateful policy observes exactly the interleaving sequential
-        offers would produce); a non-None reason sheds the request —
-        the algorithm never sees it and the returned list carries
-        ``None`` at its position. This is the primitive
-        :meth:`repro.serve.EmbedderService.offer_many` drives.
+        *original* request just before it would commit; a non-None
+        reason sheds the request — the algorithm never sees it and the
+        returned list carries ``None`` at its position.
         """
         if not self._slot_open:
             raise SimulationError(
@@ -534,80 +511,58 @@ class SimulationSession:
                 "once (batch shape) and cannot take mid-slot arrivals; "
                 "submit() the request for a future slot instead"
             )
-        if not requests:
-            return []
-        migrated = (
-            [self.events.apply_migrations(r) for r in requests]
-            if self.events is not None
-            else requests
-        )
-        if decide is None:
-            return self._process_run_bulk(migrated)
+        return self._decide_run(requests, decide, self.events)
+
+    def _decide_run(
+        self,
+        run: Sequence[Request],
+        decide: Callable[[Request], str | None] | None,
+        events: "EventSchedule | None",
+    ) -> list["Decision | None"]:
+        """Decide a same-slot run in order: the session's one online step.
+
+        Per request: its arrival checked against the open slot, the
+        ``decide`` hook, ``events``' ingress migrations,
+        ``algorithm.process``, the decision and its preemptions logged.
+        What was decided is booked even when a request fails mid-run.
+        """
         t = self._clock
-        decisions = self._decisions
-        preemptions = self._preemptions
         process = self.algorithm.process
+        decisions = self._decisions
         outcomes: list[Decision | None] = []
         decided: list[Request] = []
         start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
         try:
-            for original, request in zip(requests, migrated):
-                if decide(original) is not None:
-                    outcomes.append(None)
-                    continue
+            for request in run:
                 if request.arrival != t:
                     raise SimulationError(
                         f"request {request.id} arrives at "
                         f"{request.arrival}, but the open slot is {t}"
                     )
+                if decide is not None and decide(request) is not None:
+                    outcomes.append(None)
+                    continue
+                if events is not None:
+                    request = events.apply_migrations(request)
                 decision = process(request)
                 decided.append(request)
                 decisions.append(decision)
                 if decision.preempted:
-                    preemptions.extend((r, t) for r in decision.preempted)
+                    self._preemptions.extend(
+                        (r, t) for r in decision.preempted
+                    )
                 outcomes.append(decision)
         finally:
             self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
             self._book(decided)
         return outcomes
 
-    def _process_run_bulk(
-        self, migrated: list[Request]
-    ) -> list["Decision | None"]:
-        """No-shed run: one tight run, then the session's bookkeeping.
-
-        With no admission hook there is nothing to interleave, so the
-        whole run goes through :meth:`_commit_run` — the exact call
-        :meth:`begin_slot` makes for scheduled arrivals — instead of a
-        per-request session loop. Demand and departures are booked
-        afterwards, for the prefix the algorithm decided (all of the run
-        unless it raised), in arrival order: the same float sum and the
-        same calendar as per-request :meth:`process` calls.
-        """
-        t = self._clock
-        for request in migrated:
-            if request.arrival != t:
-                raise SimulationError(
-                    f"request {request.id} arrives at "
-                    f"{request.arrival}, but the open slot is {t}"
-                )
-        first = len(self._decisions)
-        start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-        try:
-            self._commit_run(migrated)
-        finally:
-            self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-            self._book(migrated[:len(self._decisions) - first])
-        return self._decisions[first:]
-
     def _book(self, decided: Sequence[Request]) -> None:
-        """Count the demand and register the departures of ``decided``.
-
-        Every mid-slot lane calls this only for requests the algorithm
-        returned a decision for: an offer it refused (it raised) leaves
-        no demand and no departure behind. One float accumulator adding
-        in arrival order, so the sum is the same whichever lane booked.
-        """
+        """Count the demand and register the departures of ``decided``,
+        the requests the algorithm returned a decision for: one it
+        refused (it raised) or never reached leaves nothing behind. One
+        float accumulator adding in arrival order, so a slot's sum does
+        not depend on how it was cut into runs."""
         t = self._clock
         num_slots = self.num_slots
         departures = self._departures_by_slot
@@ -620,40 +575,14 @@ class SimulationSession:
                 )
         self._requested[t] = total
 
-    def _commit_run(self, run: Sequence[Request]) -> None:
-        """Process ``run`` in order, logging decisions and preemptions.
-
-        The log grows as the algorithm commits (``extend`` appends each
-        decision as ``map`` yields it), so an error mid-run leaves it
-        holding exactly the decisions made before it — what per-request
-        :meth:`process` calls would have logged.
-        """
-        t = self._clock
-        decisions = self._decisions
-        first = len(decisions)
-        try:
-            decisions.extend(map(self.algorithm.process, run))
-        finally:
-            preemptions = self._preemptions
-            for decision in decisions[first:]:
-                if decision.preempted:
-                    preemptions.extend((r, t) for r in decision.preempted)
-
     def close_slot(self) -> SlotReport:
-        """Seal the open slot: run a batch algorithm's slot solve, record
-        the per-slot metrics, advance the clock, and report the slot."""
+        """Seal the open slot: record the per-slot metrics, advance the
+        clock, and report the slot."""
         if not self._slot_open:
             raise SimulationError(
                 f"no slot is open (clock at {self._clock}); nothing to close"
             )
         t = self._clock
-        arrivals = self._arrivals_by_slot.pop(t, ())
-        if self._is_batch:
-            start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-            slot_result = self.algorithm.run_slot(t, list(arrivals))
-            self._slot_runtime += time.perf_counter() - start  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
-            self._decisions.extend(slot_result.decisions)
-            self._preemptions.extend((r, t) for r in slot_result.dropped)
         self._allocated[t] = self.algorithm.active_demand()
         self._resource_cost[t] = self.algorithm.active_cost_per_slot()
         self._runtime += self._slot_runtime

@@ -259,11 +259,9 @@ class TestOfferMany:
         """A retried id inside one run raises after its predecessors
         committed: the session log must hold exactly what ``offer()``
         calls would have logged — for ``offer_many`` and for scheduled
-        arrivals alike. ``requested_demand`` is compared between the two
-        offer lanes only: they book a request once the algorithm decided
-        it, so the refused duplicate adds nothing, whereas a scheduled
-        arrival was submitted (and is counted at ``begin_slot``) before
-        anything could refuse it."""
+        arrivals alike, ``requested_demand`` included: every lane books
+        a request once the algorithm decided it, so the refused
+        duplicate adds nothing."""
         from repro.experiments.scenario import build_scenario, make_algorithm
         from repro.scenarios.events import capacity_invariant_gap
         from repro.sim.engine import simulate
@@ -317,12 +315,80 @@ class TestOfferMany:
             got = other.result()
             assert got.decisions == expected.decisions
             assert got.preemptions == expected.preemptions
+            assert np.array_equal(
+                got.requested_demand, expected.requested_demand
+            )
             assert capacity_invariant_gap(other.algorithm) == pytest.approx(
                 0.0, abs=1e-6
             )
-        assert np.array_equal(
-            bulk.session.result().requested_demand, expected.requested_demand
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_any_cut_into_calls_equals_sequential_offers(self, seed):
+        """Each slot's run cut at seeded random points, every chunk sent
+        through ``offer`` or ``offer_many``, under a shedding stateful
+        policy and an ingress migration: slot reports and metrics are
+        those of one ``offer()`` per request."""
+        import random
+
+        from repro.experiments.scenario import build_scenario, make_algorithm
+        from repro.scenarios.events import EventSchedule, IngressMigration
+
+        scenario = build_scenario(
+            ExperimentConfig.test(utilization=1.2), seed=3
         )
+        slots = scenario.config.online_slots
+        by_slot = [[] for _ in range(slots)]
+        for request in scenario.online_requests():
+            by_slot[request.arrival].append(request)
+        events = EventSchedule(
+            [IngressMigration(slot=1, source="edge-5", target="edge-9",
+                              until=4)]
+        )
+
+        def service():
+            session = SimulationSession(
+                make_algorithm("OLIVE", scenario), [], slots, events=events
+            )
+            return EmbedderService(
+                session, admission="token-bucket",
+                admission_params={"rate": 270.0, "burst": 280.0},
+            )
+
+        sequential, chunked = service(), service()
+        rng = random.Random(seed)
+        expected, got = [], []
+        for t, run in enumerate(by_slot):
+            for request in run:
+                sequential.offer(request)
+            cuts = sorted(rng.sample(range(1, len(run)), 12))
+            for lo, hi in zip([0] + cuts, cuts + [len(run)]):
+                if hi - lo == 1 or rng.random() < 0.3:
+                    for request in run[lo:hi]:
+                        chunked.offer(request)
+                else:
+                    chunked.offer_many(run[lo:hi])
+            expected += sequential.advance_to(t + 1)
+            got += chunked.advance_to(t + 1)
+
+        assert sequential.metrics.shed > 0
+        assert any(r.preempted for r in expected)
+        assert any(
+            d.request.ingress == "edge-9" and d.request.arrival == 2
+            for d in expected[2].decisions
+        )
+        for want, have in zip(expected, got, strict=True):
+            assert have.decisions == want.decisions
+            assert have.departures == want.departures
+            assert have.requested_demand == want.requested_demand
+        one, many = sequential.metrics, chunked.metrics
+        for counter in (
+            "offers", "accepted", "rejected", "shed", "disrupted",
+            "preempted", "slots",
+        ):
+            assert getattr(many, counter) == getattr(one, counter)
+        assert many._outcomes == one._outcomes
+        assert len(many._latencies) == len(one._latencies)
+        assert chunked.finish().decisions == sequential.finish().decisions
 
     def test_offer_many_spans_slots(self, line_substrate, chain_app):
         service = _service(line_substrate, chain_app)
@@ -432,7 +498,7 @@ class TestMetricsStream:
         for latency, accepted in (
             (0.001, True), (0.002, True), (0.003, False), (0.004, True),
         ):
-            stream.record_offer(accepted, latency)
+            stream.record_offers([accepted], latency)
         stream.record_shed()
         snapshot = stream.snapshot(slot=7, utilization=0.5, pending=3)
         assert snapshot.offers == 5
@@ -464,7 +530,7 @@ class TestMetricsStream:
         assert service.metrics.latest.slot == 4
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="window"):
             MetricsStream(window=0)
 
     @given(

@@ -20,6 +20,7 @@ from repro.baselines.slotoff import SlotOffAlgorithm
 from repro.errors import SimulationError
 from repro.scenarios.events import (
     EventSchedule,
+    FlashCrowd,
     IngressMigration,
     LinkFailure,
     LinkRecovery,
@@ -372,6 +373,18 @@ class TestSnapshot:
         with pytest.raises(SimulationError, match="checkpoint"):
             SessionSnapshot.from_bytes(payload)
 
+    def test_from_bytes_refuses_the_previous_format(self, session):
+        """A ``/1`` checkpoint's calendar already holds the departures of
+        arrivals not yet decided; loading it would book them twice."""
+        session.run_until(3)
+        body = pickle.dumps(session, protocol=pickle.HIGHEST_PROTOCOL)
+        header = pickle.dumps(
+            ("repro.SessionSnapshot/1", 3, "QUICKG", len(body)),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        with pytest.raises(SimulationError, match="checkpoint"):
+            SessionSnapshot.from_bytes(header + body)
+
     def test_snapshot_bytes_are_fixed_at_capture(self, session):
         session.run_until(3)
         snapshot = session.snapshot()
@@ -584,6 +597,19 @@ class TestSessionEvents:
         assert result.decisions == batch.decisions
         assert result.decision_by_id[7].request.ingress == "edge-b"
         assert live.request.ingress == "edge-a"  # outside the window
+
+    def test_flash_crowd_of_an_unknown_app_fails_fast(
+        self, line_substrate, chain_app
+    ):
+        """Refused at construction, not at the crowd's slot."""
+        schedule = EventSchedule(
+            [FlashCrowd(slot=3, requests=(_request(99, arrival=3, app=1),))]
+        )
+        with pytest.raises(SimulationError, match="app_index 1"):
+            SimulationSession(
+                make_quickg(line_substrate, [chain_app]), [], 8,
+                events=schedule,
+            )
 
     def test_event_validation_matches_engine(self, line_substrate, chain_app):
         schedule = self._schedule(line_substrate)
