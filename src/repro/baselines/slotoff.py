@@ -177,7 +177,12 @@ class SlotOffAlgorithm:
     # -- introspection, mirroring the per-request algorithms ----------------
 
     def active_demand(self) -> float:
-        return sum(r.demand for r in self.active.values())
+        """Total demand of the active requests, added up left to right
+        (built-in ``sum()`` of floats compensates from CPython 3.12 on)."""
+        total = 0.0
+        for request in self.active.values():
+            total += request.demand
+        return total
 
     def active_cost_per_slot(self) -> float:
         """Resource cost of the last solved slot (Eq. 3 inner sum)."""

@@ -16,9 +16,13 @@ algorithm need not inherit from anything.
 from __future__ import annotations
 
 import pickle
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
+
+import numpy as np
 
 from repro.apps.application import Application
 from repro.apps.efficiency import EfficiencyModel, UniformEfficiency
@@ -56,6 +60,29 @@ class _ActiveAllocation:
     #: The four write-once fields (all but ``planned`` / ``pattern_index``)
     #: pickled, by the first checkpoint that saw this row.
     sealed: bytes | None = field(default=None, compare=False, repr=False)
+    #: The row's position in the ledger's sum columns: increasing in
+    #: allocation order, renumbered (order kept) when they are compacted.
+    seq: int = field(default=0, compare=False, repr=False)
+
+
+def left_fold(column: array[float]) -> float:
+    """``((0.0 + x0) + x1) + …`` over a float column, in C.
+
+    The one summation order the per-slot sums use, on every interpreter:
+    built-in ``sum()`` of floats compensates from CPython 3.12 on, and
+    numpy's ``sum`` adds pairwise; ``cumsum`` adds left to right.
+    """
+    if not column:
+        return 0.0
+    return float(np.cumsum(np.frombuffer(column))[-1])
+
+
+_SEQ = attrgetter("seq")
+
+#: What :meth:`LedgerAlgorithm._derive` rebuilds: never in a checkpoint.
+DERIVED_STATE = (
+    "_demand", "_cost", "_borrowers_of_node", "_borrowers_of_link"
+)
 
 
 class LedgerAlgorithm:
@@ -68,6 +95,10 @@ class LedgerAlgorithm:
     departure at the start of a slot, then :meth:`process` for each
     arrival in order.
     """
+
+    #: Whether PREEMPT may evict this ledger's borrowed rows (OLIVE sets
+    #: it per instance): only then is the element index kept.
+    enable_preemption: bool = False
 
     def __init__(
         self,
@@ -83,11 +114,58 @@ class LedgerAlgorithm:
         self.residual = ResidualState(substrate)
         #: Request id → allocation, in allocation order.
         self.active: dict[int, _ActiveAllocation] = {}
-        #: The non-planned rows of ``active`` — same objects, same relative
-        #: order — kept by :meth:`_commit` and :meth:`_evict` so OLIVE's
-        #: PREEMPT reads RDONE \ RPLAN without walking RDONE. Derived:
-        #: it stays out of the checkpoint.
-        self.preemptible: dict[int, _ActiveAllocation] = {}
+        self._derive()
+
+    def _derive(self) -> None:
+        """Rebuild the state kept beside ``active`` from ``active`` alone.
+
+        Kept by :meth:`_commit` and :meth:`_evict`, rebuilt here on
+        restore and on a plan switch, and never checkpointed:
+
+        * ``_demand`` / ``_cost``: one slot per row, at the row's ``seq``,
+          in allocation order; an evicted row's slot reads 0.0 until a
+          compaction drops it. The per-slot sums fold them left to
+          right, so they equal a fold over the live rows in order.
+        * ``_borrowers_of_node`` / ``_borrowers_of_link``: element → the
+          non-planned rows (RDONE \\ RPLAN) loading it, by request id, in
+          allocation order — what OLIVE's PREEMPT reads, per short
+          element, without walking the table. Empty on a ledger that
+          never preempts.
+        """
+        rows = list(self.active.values())
+        for seq, allocation in enumerate(rows):
+            allocation.seq = seq
+        self._demand = array("d", [a.request.demand for a in rows])
+        self._cost = array("d", [a.cost_per_slot for a in rows])
+        self._borrowers_of_node: dict[Any, dict[int, _ActiveAllocation]] = {}
+        self._borrowers_of_link: dict[Any, dict[int, _ActiveAllocation]] = {}
+        if self.enable_preemption:
+            for allocation in rows:
+                if not allocation.planned:
+                    self._borrow(allocation)
+
+    def _compact(self) -> None:
+        """Drop the evicted rows' slots from the sum columns, order kept,
+        and renumber the live rows' ``seq``."""
+        rows = self.active.values()
+        live = np.fromiter(map(_SEQ, rows), np.intp, len(self.active))
+        self._demand = array("d", np.frombuffer(self._demand)[live].tobytes())
+        self._cost = array("d", np.frombuffer(self._cost)[live].tobytes())
+        for seq, allocation in enumerate(rows):
+            allocation.seq = seq
+
+    def _borrow(self, allocation: _ActiveAllocation) -> None:
+        """Index a non-planned row under every element it loads, behind
+        the rows indexed before it."""
+        request_id = allocation.request.id
+        for node in allocation.loads.nodes:
+            self._borrowers_of_node.setdefault(node, {})[
+                request_id
+            ] = allocation
+        for link in allocation.loads.links:
+            self._borrowers_of_link.setdefault(link, {})[
+                request_id
+            ] = allocation
 
     # -- the embed step ------------------------------------------------------
 
@@ -158,9 +236,12 @@ class LedgerAlgorithm:
             cost_per_slot=cost,
             planned=planned,
             pattern_index=pattern_index,
+            seq=len(self._demand),
         )
-        if not planned:
-            self.preemptible[request.id] = allocation
+        self._demand.append(request.demand)
+        self._cost.append(cost)
+        if not planned and self.enable_preemption:
+            self._borrow(allocation)
         return Decision(
             request=request,
             accepted=True,
@@ -202,10 +283,20 @@ class LedgerAlgorithm:
         """Drop one allocation and return its capacity — the single exit
         from ``active`` (departure, preemption, disruption)."""
         allocation = self.active.pop(request_id, None)
-        if allocation is not None:
-            if not allocation.planned:
-                del self.preemptible[request_id]
-            self.residual.release(allocation.loads)
+        if allocation is None:
+            return None
+        self.residual.release(allocation.loads)
+        if not allocation.planned and self.enable_preemption:
+            for node in allocation.loads.nodes:
+                del self._borrowers_of_node[node][request_id]
+            for link in allocation.loads.links:
+                del self._borrowers_of_link[link][request_id]
+        self._demand[allocation.seq] = 0.0
+        self._cost[allocation.seq] = 0.0
+        if len(self._demand) > 2 * len(self.active):
+            # Half the slots are dead: drop them (amortized O(1) per
+            # eviction). The index is keyed by id, so it stays.
+            self._compact()
         return allocation
 
     # -- dynamic events ------------------------------------------------------
@@ -250,12 +341,14 @@ class LedgerAlgorithm:
     # -- introspection -------------------------------------------------------
 
     def active_demand(self) -> float:
-        """Total demand of currently embedded requests."""
-        return sum(a.request.demand for a in self.active.values())
+        """Total demand of currently embedded requests, added up in
+        allocation order."""
+        return left_fold(self._demand)
 
     def active_cost_per_slot(self) -> float:
-        """Σ_s load(s)·cost(s) of the current allocation (Eq. 3 inner sum)."""
-        return sum(a.cost_per_slot for a in self.active.values())
+        """Σ_s load(s)·cost(s) of the current allocation (Eq. 3 inner
+        sum), added up in allocation order."""
+        return left_fold(self._cost)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -280,7 +373,8 @@ class LedgerAlgorithm:
             rows.append((a.sealed, a.planned, a.pattern_index))
         state = self.__dict__.copy()
         state["active"] = rows
-        del state["preemptible"]
+        for name in DERIVED_STATE:
+            del state[name]
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -293,6 +387,4 @@ class LedgerAlgorithm:
             self.active[request.id] = _ActiveAllocation(
                 request, embedding, loads, cost, planned, pattern_index, sealed
             )
-        self.preemptible = {
-            i: a for i, a in self.active.items() if not a.planned
-        }
+        self._derive()

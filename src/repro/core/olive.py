@@ -26,6 +26,8 @@ disruption hooks and checkpointing are :mod:`repro.core.ledger`'s.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.apps.application import Application
 from repro.apps.efficiency import EfficiencyModel
 from repro.core import greedy_reference
@@ -96,7 +98,7 @@ class OliveAlgorithm(LedgerAlgorithm):
         for allocation in self.active.values():
             allocation.planned = False
             allocation.pattern_index = None
-        self.preemptible = dict(self.active)
+        self._derive()
 
     # -- departures ---------------------------------------------------------
 
@@ -223,42 +225,37 @@ class OliveAlgorithm(LedgerAlgorithm):
         """PREEMPT (lines 35–38): free borrowed capacity for a planned fit.
 
         Only non-planned active allocations (RDONE \\ RPLAN) are candidates,
-        and the ledger keeps exactly those in ``preemptible``. Returns the
-        preempted requests, or None when even preempting every candidate
-        could not cover the shortfall (then nothing is touched).
+        and of those only the ones loading a short element: the ledger
+        indexes exactly those rows by element. Returns the preempted
+        requests, or None when even preempting every candidate could not
+        cover the shortfall (then nothing is touched).
         """
         shortfall = self.residual.shortfall(loads)
         if not shortfall.nodes and not shortfall.links:
             return []
 
-        # Only the short elements are summed — each in allocation order,
-        # so the float sums are the ones a walk of every load would give —
-        # and only rows loading one of them can ever contribute.
-        available_nodes = dict.fromkeys(shortfall.nodes, 0.0)
-        available_links = dict.fromkeys(shortfall.links, 0.0)
-        candidates: list[_ActiveAllocation] = []
-        for allocation in self.preemptible.values():
-            touches = False
-            row_nodes = allocation.loads.nodes
-            for node in available_nodes:
-                load = row_nodes.get(node)
-                if load is not None:
-                    available_nodes[node] += load
-                    touches = True
-            row_links = allocation.loads.links
-            for link in available_links:
-                load = row_links.get(link)
-                if load is not None:
-                    available_links[link] += load
-                    touches = True
-            if touches:
-                candidates.append(allocation)
+        # Each short element's borrowers are summed in allocation order,
+        # so the float sums are the ones a walk of every load would give;
+        # the candidates are put back in allocation order for the stable
+        # sort below.
+        rows: dict[int, _ActiveAllocation] = {}
         for node, need in shortfall.nodes.items():
-            if available_nodes[node] + EPSILON < need:
+            borrowers = self._borrowers_of_node.get(node, {})
+            available = 0.0
+            for allocation in borrowers.values():
+                available += allocation.loads.nodes[node]
+            if available + EPSILON < need:
                 return None
+            rows.update(borrowers)
         for link, need in shortfall.links.items():
-            if available_links[link] + EPSILON < need:
+            borrowers = self._borrowers_of_link.get(link, {})
+            available = 0.0
+            for allocation in borrowers.values():
+                available += allocation.loads.links[link]
+            if available + EPSILON < need:
                 return None
+            rows.update(borrowers)
+        candidates = sorted(rows.values(), key=attrgetter("seq"))
 
         remaining_nodes = dict(shortfall.nodes)
         remaining_links = dict(shortfall.links)

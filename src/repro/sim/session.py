@@ -47,13 +47,13 @@ never reached, shed or refused leaves nothing behind.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import gc
 import io
 import pickle
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar, cast,
 )
@@ -103,9 +103,15 @@ class SlotReport:
 
 
 #: First element of the header pickled ahead of a checkpoint's body.
-#: ``/2``: the departure calendar holds decided requests only (``/1``
+#: ``/3``: a slot's calendar lists are in the order their entries were
+#: added, sorted when the slot begins (``/2`` kept them sorted; ``/1``
 #: held every scheduled arrival's departure from the start).
-_SNAPSHOT_TAG = "repro.SessionSnapshot/2"
+_SNAPSHOT_TAG = "repro.SessionSnapshot/3"
+
+#: Processing order within a slot (Fig. 2), as a sort key: a stable sort
+#: on it puts equal keys in the order they were added, as inserting each
+#: entry after its equals would.
+_IN_ORDER = attrgetter("arrival", "id")
 
 _Root = TypeVar("_Root")
 
@@ -304,17 +310,18 @@ class SimulationSession:
             self.events: "EventSchedule | None" = events
         else:
             self.events = None
-        requests = sorted(requests)
         self.num_slots = num_slots
-        for request in requests:
-            if request.arrival >= num_slots:
-                raise SimulationError(
-                    f"request {request.id} arrives at {request.arrival}, "
-                    f"beyond the {num_slots}-slot horizon"
-                )
+        late = [r for r in requests if r.arrival >= num_slots]
+        if late:
+            request = min(late, key=_IN_ORDER)
+            raise SimulationError(
+                f"request {request.id} arrives at {request.arrival}, "
+                f"beyond the {num_slots}-slot horizon"
+            )
 
-        # Calendars of what is still ahead; begin_slot() pops the slot's
-        # entries. A departure is booked when its request is decided.
+        # Calendars of what is still ahead, each slot's list in the order
+        # its entries were added; begin_slot() pops the slot's lists and
+        # sorts them. A departure is booked when its request is decided.
         self._arrivals_by_slot: dict[int, list[Request]] = {}
         self._departures_by_slot: dict[int, list[Request]] = {}
         for request in requests:
@@ -414,9 +421,7 @@ class SimulationSession:
                 + ("begun" if self._slot_open else "passed")
                 + "; submit() admits future slots only"
             )
-        bisect.insort(
-            self._arrivals_by_slot.setdefault(request.arrival, []), request
-        )
+        self._arrivals_by_slot.setdefault(request.arrival, []).append(request)
         self._pending_arrivals += 1
 
     # -- the slot lifecycle --------------------------------------------------
@@ -439,8 +444,11 @@ class SimulationSession:
             )
         t = self._clock
         arrivals = self._arrivals_by_slot.pop(t, [])
+        arrivals.sort(key=_IN_ORDER)
         self._pending_arrivals -= len(arrivals)
-        self._slot_departures = tuple(self._departures_by_slot.pop(t, ()))
+        departures = self._departures_by_slot.pop(t, [])
+        departures.sort(key=_IN_ORDER)
+        self._slot_departures = tuple(departures)
         self._slot_decisions_from = len(self._decisions)
         self._slot_preemptions_from = len(self._preemptions)
         self._slot_disruptions_from = len(self._disruptions)
@@ -570,9 +578,7 @@ class SimulationSession:
         for request in decided:
             total += request.demand
             if request.departure < num_slots:
-                bisect.insort(
-                    departures.setdefault(request.departure, []), request
-                )
+                departures.setdefault(request.departure, []).append(request)
         self._requested[t] = total
 
     def close_slot(self) -> SlotReport:

@@ -20,8 +20,8 @@ class Request:
     within one time slot, per Fig. 2). The comparisons are hand-written
     on those two fields: ids are unique trace-wide, so this is the same
     total order the full field tuple would give, without building a
-    six-field tuple (including a string) per comparison — request sorts
-    and departure-registration insorts sit on the simulator's hot path.
+    six-field tuple (including a string) per comparison. The session's
+    calendars sort by the same two fields as a key.
 
     Attributes
     ----------

@@ -144,14 +144,53 @@ def repro_module_bindings() -> dict[str, dict[str, object]]:
 
 
 def assert_preemptible_is_derived(algorithm) -> None:
-    """The ledger's ``preemptible`` index is exactly the non-planned rows
-    of ``active`` — the same objects, in ``active``'s order."""
-    expected = [
-        (i, a) for i, a in algorithm.active.items() if not a.planned
-    ]
-    actual = list(algorithm.preemptible.items())
-    assert [i for i, _ in actual] == [i for i, _ in expected]
-    assert all(a is b for (_, a), (_, b) in zip(actual, expected))
+    """What the ledger keeps beside ``active`` is what a rebuild from
+    ``active`` alone gives.
+
+    * PREEMPT's element index holds, per node and per link, exactly the
+      non-planned rows loading it — the same objects, in ``active``'s
+      order (an element whose rows all left may keep an empty entry) —
+      and nothing on a ledger that never preempts;
+    * the rows' ``seq`` increase in ``active``'s order, and the sum
+      columns hold each row's demand and cost at its ``seq``, 0.0 at
+      every other position;
+    * the two per-slot sums equal a plain ``total += x`` loop over the
+      rows in ``active``'s order, bit for bit.
+    """
+    rows = list(algorithm.active.values())
+    seqs = [a.seq for a in rows]
+    assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+    demand = [0.0] * len(algorithm._demand)
+    cost = [0.0] * len(algorithm._cost)
+    for a in rows:
+        demand[a.seq] = a.request.demand
+        cost[a.seq] = a.cost_per_slot
+    assert list(algorithm._demand) == demand
+    assert list(algorithm._cost) == cost
+
+    for index, kind in (
+        (algorithm._borrowers_of_node, "nodes"),
+        (algorithm._borrowers_of_link, "links"),
+    ):
+        expected: dict = {}
+        for a in rows:
+            if not a.planned and algorithm.enable_preemption:
+                for element in getattr(a.loads, kind):
+                    expected.setdefault(element, []).append(a)
+        actual = {e: by_id for e, by_id in index.items() if by_id}
+        assert actual.keys() == expected.keys(), kind
+        for element, by_id in actual.items():
+            assert list(by_id) == [a.request.id for a in expected[element]]
+            assert all(
+                a is b for a, b in zip(by_id.values(), expected[element])
+            )
+
+    total_demand = total_cost = 0.0
+    for a in rows:
+        total_demand += a.request.demand
+        total_cost += a.cost_per_slot
+    assert algorithm.active_demand() == total_demand
+    assert algorithm.active_cost_per_slot() == total_cost
 
 
 def residual_of_node(residual, node) -> float:

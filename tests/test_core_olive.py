@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import resolve_events
 from repro.apps.application import ROOT_ID
+from repro.core.embedding import ElementLoads
 from repro.core.olive import OliveAlgorithm
 from repro.core.residual import EPSILON
 from repro.errors import SimulationError
@@ -29,6 +30,7 @@ from tests.conftest import (
     make_two_vnf_chain,
     residual_of_link,
     residual_of_node,
+    set_link_residual,
     set_node_residual,
 )
 
@@ -212,7 +214,8 @@ class TestPreemption:
         """A count guard, no timing: with 2 000 planned rows and 10
         borrowed ones, PREEMPT finds its victim without iterating
         ``active`` (membership, the commit's store and the eviction's
-        ``pop`` by id are keyed, and allowed)."""
+        ``pop`` by id are keyed, and allowed), and neither do the two
+        per-slot sums."""
 
         class Unwalkable(dict):
             def _refuse(self, *args):
@@ -230,15 +233,41 @@ class TestPreemption:
             assert olive.process(_request(1000 + rid, demand=1.0)).planned
         olive_full_of_borrowers(olive, 10)
         set_node_residual(olive.residual, "transport", 0.0)
-        assert len(olive.active) == 2010 and len(olive.preemptible) == 10
+        assert len(olive.active) == 2010
+        assert sum(not a.planned for a in olive.active.values()) == 10
 
         olive.active = Unwalkable(olive.active)
         decision = olive.process(_request(1, demand=4.0))
         assert decision.planned
         assert [r.id for r in decision.preempted] == [100]
         assert 100 not in olive.active and 1 in olive.active
+        demand = cost = 0.0
+        for row in dict.values(olive.active):  # around the guard
+            demand += row.request.demand
+            cost += row.cost_per_slot
+        assert olive.active_demand() == demand
+        assert olive.active_cost_per_slot() == cost
         with pytest.raises(AssertionError, match="walked"):
-            olive.active_demand()  # the guard does bite a walk
+            list(olive.active_loads())  # the guard does bite a walk
+
+    def test_tied_victims_come_in_allocation_order(self, chain_app):
+        """The element index yields the newer borrower first (it loads
+        the short node, the older one the short link); both contribute
+        exactly 4.0, so only the allocation order the twin's walk has
+        decides which is evicted first."""
+        olive = OliveAlgorithm(
+            make_line_substrate(), [chain_app], _plan_at_transport()
+        )
+        link = ("core", "transport")
+        older = ElementLoads(links={link: 4.0})
+        newer = ElementLoads(nodes={"core": 4.0})
+        olive._commit(_request(1, demand=1.0), None, older)
+        olive._commit(_request(2, demand=1.0), None, newer)
+        set_node_residual(olive.residual, "core", 0.0)
+        set_link_residual(olive.residual, link, 0.0)
+        need = ElementLoads(nodes={"core": 4.0}, links={link: 4.0})
+        assert reference_victims(olive, need) == [1, 2]
+        assert [r.id for r in olive._preempt_for(need)] == [1, 2]
 
 
 def reference_victims(algorithm, loads) -> list[int] | None:

@@ -17,8 +17,9 @@ the dedicated suites pin individually:
 * the capacity invariant — residual + active loads == effective
   capacity on every element when the run ends
   (:func:`~repro.scenarios.events.capacity_invariant_gap`);
-* the ledger's ``preemptible`` index is the non-planned rows of
-  ``active`` after every slot.
+* what the ledger keeps beside ``active`` (PREEMPT's element index,
+  the sum columns, the rows' ``seq``) is a rebuild from ``active``
+  after every slot.
 
 The same property runs at two budgets: a handful of examples in the
 fast tier, and the >=200-example ``slow``-marked run that CI executes

@@ -15,8 +15,10 @@ the shared ledger (OLIVE, QUICKG, OLIVE-W, FULLG, NODERANK):
 A third is checked once per algorithm: an id offered again while it is
 still active is refused and books nothing, and so is a request whose
 ingress or application index the ledger does not know. A fourth after every slot
-again: the ledger's ``preemptible`` index is the non-planned rows of
-``active`` — across reroute events, ``switch_plan`` and a restore.
+again: what the ledger keeps beside ``active`` (PREEMPT's element index
+of the non-planned rows, the sum columns and the rows' ``seq``) is what
+a rebuild from ``active`` gives — across reroute events, ``switch_plan``
+and a restore.
 
 Unlike ``test_property_olive.py`` (hand-built substrates, synthetic
 request streams), these run the full scenario pipeline — topology, MMPP
@@ -206,7 +208,11 @@ def test_preemptible_is_the_non_planned_rows(algorithm):
         borrowed += sum(
             d.accepted and not d.planned for d in report.decisions
         )
-    assert "preemptible" not in alg.__getstate__()
+    state = alg.__getstate__()
+    assert not {
+        "_demand", "_cost", "_borrowers_of_node", "_borrowers_of_link",
+        "preemptible",
+    } & state.keys()
     assert session.result().num_events > 0 and borrowed
     if algorithm.startswith("OLIVE"):
         assert planned and session.result().preemptions

@@ -10,7 +10,9 @@ event cursor.
 
 import gc
 import pickle
+import random
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ import pytest
 from repro.baselines.quickg import make_quickg
 from repro.baselines.slotoff import SlotOffAlgorithm
 from repro.errors import SimulationError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import build_scenario, make_algorithm
 from repro.scenarios.events import (
     EventSchedule,
     FlashCrowd,
@@ -637,3 +641,98 @@ class TestEventCursor:
             cursor.advance(0)
         with pytest.raises(SimulationError, match="in order"):
             cursor.advance(2)
+
+
+def _unsorted(calendar) -> bool:
+    key = attrgetter("arrival", "id")
+    return any(
+        entries != sorted(entries, key=key) for entries in calendar.values()
+    )
+
+
+class TestCalendar:
+    """A slot's calendar lists keep the order their entries were added
+    in and are sorted once, when the slot begins: how arrivals were cut,
+    ordered or submitted never shows."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return build_scenario(
+            ExperimentConfig.test(
+                history_slots=40, online_slots=10, arrivals_per_node=3.0,
+                measure_start=2, measure_stop=8, utilization=1.4,
+            ),
+            seed=0,
+        )
+
+    @staticmethod
+    def _shuffled_runs(session, requests, rng, slots):
+        """Drive ``slots`` slots, each slot's arrivals shuffled and cut
+        into random runs of ``process_many``; return the reports."""
+        by_slot: dict[int, list] = {}
+        for request in requests:
+            by_slot.setdefault(request.arrival, []).append(request)
+        reports = []
+        for t in range(slots):
+            session.begin_slot()
+            run = by_slot.get(t, [])
+            rng.shuffle(run)
+            while run:
+                cut = rng.randint(1, len(run))
+                session.process_many(run[:cut])
+                run = run[cut:]
+            reports.append(session.close_slot())
+        return reports
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cut_and_order_leave_departures_alone(self, scenario, seed):
+        slots = scenario.config.online_slots
+        requests = scenario.online_requests()
+        reference = list(SimulationSession(
+            make_algorithm("OLIVE", scenario), requests, slots
+        ))
+        shuffled = self._shuffled_runs(
+            SimulationSession(make_algorithm("OLIVE", scenario), (), slots),
+            requests, random.Random(seed), slots,
+        )
+        for expected, report in zip(reference, shuffled, strict=True):
+            assert report.departures == expected.departures
+            keys = [(r.arrival, r.id) for r in report.departures]
+            assert keys == sorted(keys)
+        assert sum(len(r.departures) for r in shuffled) > 100
+
+    def test_submit_order_does_not_show(self, scenario):
+        slots = scenario.config.online_slots
+        requests = scenario.online_requests()
+        reference = SimulationSession(
+            make_algorithm("OLIVE", scenario), requests, slots
+        ).run()
+        session = SimulationSession(make_algorithm("OLIVE", scenario), (), slots)
+        for request in random.Random(0).sample(requests, len(requests)):
+            session.submit(request)
+        assert _unsorted(session._arrivals_by_slot)
+        result = session.run()
+        assert result.decisions == reference.decisions
+        assert np.array_equal(result.allocated_demand, reference.allocated_demand)
+
+    def test_snapshot_of_unsorted_calendars_restores_bit_identically(
+        self, scenario
+    ):
+        slots = scenario.config.online_slots
+        half = slots // 2
+        rng = random.Random(3)
+        requests = scenario.online_requests()
+        session = SimulationSession(make_algorithm("OLIVE", scenario), (), slots)
+        for request in rng.sample(requests, len(requests)):
+            if request.arrival >= half:
+                session.submit(request)
+        self._shuffled_runs(session, requests, rng, half)
+        assert _unsorted(session._arrivals_by_slot)
+        assert _unsorted(session._departures_by_slot)
+
+        resumed = SimulationSession.restore(session.snapshot()).run()
+        full = session.run()
+        assert resumed.decisions == full.decisions
+        assert resumed.preemptions == full.preemptions
+        for field in ("requested_demand", "allocated_demand", "resource_cost"):
+            assert np.array_equal(getattr(resumed, field), getattr(full, field))
