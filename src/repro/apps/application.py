@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ApplicationError
+from repro.utils.fold import left_sum
 
 ROOT_ID = 0
 
@@ -155,15 +156,15 @@ class Application:
 
     def total_node_size(self) -> float:
         """Σ β_i over VNFs — the per-unit-demand node footprint."""
-        return sum(vnf.size for vnf in self.vnfs)
+        return left_sum(vnf.size for vnf in self.vnfs)
 
     def total_link_size(self) -> float:
         """Σ β over virtual links."""
-        return sum(link.size for link in self.links)
+        return left_sum(link.size for link in self.links)
 
     def root_adjacent_link_size(self) -> float:
         """Σ β of links incident to θ (what a collocated embedding routes)."""
-        return sum(link.size for link in self._children[ROOT_ID])
+        return left_sum(link.size for link in self._children[ROOT_ID])
 
     def has_kind(self, kind: VNFKind) -> bool:
         return any(vnf.kind is kind for vnf in self.vnfs)

@@ -26,6 +26,7 @@ from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.ledger import LedgerAlgorithm
 from repro.core.residual import ResidualState
 from repro.substrate.network import NodeId, SubstrateNetwork
+from repro.utils.fold import left_sum
 from repro.utils.paths import cheapest_host_search, tree_path
 from repro.workload.request import Request
 
@@ -51,7 +52,7 @@ def compute_node_ranks(
     link_residual = residual.link_residual
     intrinsic = np.zeros(len(nodes))
     for i, incident in enumerate(residual.index.adj):
-        free_bandwidth = sum(link_residual[link] for _, link in incident)
+        free_bandwidth = left_sum(link_residual[link] for _, link in incident)
         intrinsic[i] = (
             max(residual.node_residual[i], 0.0) * max(free_bandwidth, 1.0)
         )

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from repro.apps.application import Application
 from repro.apps.efficiency import EfficiencyModel, UniformEfficiency
 from repro.core.olive import Decision
-from repro.core.profile import MemoizedEfficiency
 from repro.core.residual import EPSILON
 from repro.lp.solver import solve_lp
 from repro.plan.formulation import PlanVNEConfig, build_plan_vne
 from repro.stats.aggregate import AggregateRequest, ClassKey
 from repro.substrate.network import SubstrateNetwork
+from repro.utils.fold import left_sum
 from repro.workload.request import Request
 
 
@@ -51,11 +51,7 @@ class SlotOffAlgorithm:
     ) -> None:
         self.substrate = substrate
         self.apps = apps
-        # The per-slot PLAN-VNE rebuild asks for the same (VNF, node) /
-        # (virtual link, link) η pairs every slot; memoizing the lookups
-        # removes that repeated work from the feasibility checks without
-        # changing a single coefficient.
-        self.efficiency = MemoizedEfficiency(efficiency or UniformEfficiency())
+        self.efficiency = efficiency or UniformEfficiency()
         self.config = config or PlanVNEConfig()
         self.name = "SLOTOFF"
         #: Requests currently embedded (accepted and still active).
@@ -122,7 +118,7 @@ class SlotOffAlgorithm:
             AggregateRequest(
                 app_index=key[0],
                 ingress=key[1],
-                demand=sum(r.demand for r in requests),
+                demand=left_sum(r.demand for r in requests),
             )
             for key, requests in sorted(by_class.items())
         ]
@@ -152,7 +148,7 @@ class SlotOffAlgorithm:
         decisions: list[Decision] = []
         dropped: list[Request] = []
         for key, requests in by_class.items():
-            total = sum(r.demand for r in requests)
+            total = left_sum(r.demand for r in requests)
             quota = fractions[key] * total + EPSILON * max(1.0, total)
             used = 0.0
             for request in requests:  # already earliest-first
@@ -177,12 +173,8 @@ class SlotOffAlgorithm:
     # -- introspection, mirroring the per-request algorithms ----------------
 
     def active_demand(self) -> float:
-        """Total demand of the active requests, added up left to right
-        (built-in ``sum()`` of floats compensates from CPython 3.12 on)."""
-        total = 0.0
-        for request in self.active.values():
-            total += request.demand
-        return total
+        """Total demand of the active requests, added up left to right."""
+        return left_sum(request.demand for request in self.active.values())
 
     def active_cost_per_slot(self) -> float:
         """Resource cost of the last solved slot (Eq. 3 inner sum)."""

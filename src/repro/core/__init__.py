@@ -23,12 +23,7 @@ from repro.core.embedding import ElementLoads, Embedding, compute_loads
 from repro.core.greedy import GreedyContext, greedy_embed
 from repro.core.ledger import Decision, LedgerAlgorithm
 from repro.core.olive import OliveAlgorithm
-from repro.core.profile import (
-    AppProfile,
-    AppProfileCache,
-    LoadsRecipe,
-    MemoizedEfficiency,
-)
+from repro.core.profile import AppProfile, AppProfileCache, LoadsRecipe
 from repro.core.residual import PlanResidual, ResidualState
 
 __all__ = [
@@ -42,7 +37,6 @@ __all__ = [
     "AppProfile",
     "AppProfileCache",
     "LoadsRecipe",
-    "MemoizedEfficiency",
     "LedgerAlgorithm",
     "OliveAlgorithm",
     "Decision",

@@ -28,6 +28,7 @@ from repro.apps.efficiency import EfficiencyModel
 from repro.core.embedding import Embedding, compute_loads
 from repro.core.residual import ResidualState
 from repro.substrate.network import NodeId, SubstrateNetwork
+from repro.utils.fold import left_sum
 from repro.utils.paths import cheapest_host_search, tree_path
 from repro.workload.request import Request
 
@@ -121,7 +122,7 @@ def _single_host_embed(
     """The paper's GREEDYEMBED: all VNFs on one node, min resource cost."""
     vnf_ids = [vnf.id for vnf in app.non_root_vnfs()]
     root_links = app.children_links(ROOT_ID)
-    route_load = request.demand * sum(link.size for link in root_links)
+    route_load = request.demand * left_sum(link.size for link in root_links)
 
     route = _route_dijkstra(residual, request.ingress, route_load)
     dist = route[0]

@@ -334,9 +334,14 @@ class LedgerAlgorithm:
         upstream).
         """
         # repro.scenarios imports repro.core at module level.
-        from repro.scenarios.events import apply_and_resolve
+        from repro.scenarios.events import (
+            apply_capacity_events,
+            resolve_disruptions,
+        )
 
-        return apply_and_resolve(self, events, policy)
+        if not apply_capacity_events(self.residual, events):
+            return []
+        return resolve_disruptions(self, policy)
 
     # -- introspection -------------------------------------------------------
 

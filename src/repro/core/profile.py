@@ -13,21 +13,18 @@ equivalence guarantee rests on that.
 :class:`AppProfileCache` holds one profile per application object and is
 owned by an algorithm instance (OLIVE/QUICKG build it next to their
 :class:`~repro.core.residual.ResidualState`; FULLG uses the same profiles
-for its placement-feasibility rows). :class:`MemoizedEfficiency` is the
-lightweight sibling for code that consumes η through the
-:class:`~repro.apps.efficiency.EfficiencyModel` interface itself (SLOTOFF
-rebuilds a PLAN-VNE LP per slot; its per-slot η lookups repeat the same
-(VNF, node-attrs) pairs every time).
+for its placement-feasibility rows).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.application import ROOT_ID, VNF, Application, VirtualLink, VNFKind
+from repro.apps.application import ROOT_ID, Application, VNFKind
 from repro.apps.efficiency import EfficiencyModel
 from repro.core.embedding import ElementLoads, compute_loads
-from repro.substrate.network import LinkAttrs, NodeAttrs, SubstrateNetwork
+from repro.substrate.network import SubstrateNetwork
+from repro.utils.fold import left_sum
 
 #: Host-group labels used by the generalized two-group greedy.
 GroupPair = tuple[str, str]
@@ -71,7 +68,7 @@ class AppProfile:
         self.num_nodes = index.num_nodes
         non_root = app.non_root_vnfs()
         self.vnf_ids = [vnf.id for vnf in non_root]
-        self.root_link_size_sum = sum(
+        self.root_link_size_sum = left_sum(
             link.size for link in app.children_links(ROOT_ID)
         )
         node_attrs = [substrate.nodes[v] for v in index.node_ids]
@@ -239,37 +236,3 @@ class AppProfileCache:
             profile = AppProfile(app, self.substrate, self.efficiency)
             self._profiles[id(app)] = profile
         return profile
-
-
-class MemoizedEfficiency(EfficiencyModel):
-    """Memoizing wrapper around another :class:`EfficiencyModel`.
-
-    VNFs, virtual links and substrate attribute records are all frozen
-    (hashable) dataclasses, so η lookups are cacheable by the pair. The
-    wrapper returns exactly the inner model's values — it only removes
-    repeated method-call work from per-slot rebuild loops (SLOTOFF's
-    PLAN-VNE feasibility checks ask for the same pairs every slot).
-    """
-
-    def __init__(self, inner: EfficiencyModel) -> None:
-        self.inner = inner
-        self._node: dict[tuple[VNF, NodeAttrs], float | None] = {}
-        self._link: dict[tuple[VirtualLink, LinkAttrs], float] = {}
-
-    def node_eta(self, vnf: VNF, node: NodeAttrs) -> float | None:
-        key = (vnf, node)
-        try:
-            return self._node[key]
-        except KeyError:
-            value = self.inner.node_eta(vnf, node)
-            self._node[key] = value
-            return value
-
-    def link_eta(self, vlink: VirtualLink, link: LinkAttrs) -> float:
-        key = (vlink, link)
-        try:
-            return self._link[key]
-        except KeyError:
-            value = self.inner.link_eta(vlink, link)
-            self._link[key] = value
-            return value

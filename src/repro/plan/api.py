@@ -12,6 +12,7 @@ from repro.plan.formulation import PlanVNEConfig, build_plan_vne
 from repro.plan.pattern import ClassPlan, Plan
 from repro.stats.aggregate import AggregateRequest
 from repro.substrate.network import SubstrateNetwork
+from repro.utils.fold import left_sum
 
 
 def empty_plan() -> Plan:
@@ -61,7 +62,7 @@ def compute_plan(
             app, aggregate.ingress, node_mass, arc_flow, tolerance
         )
         if patterns:
-            allocated = sum(p.weight for p in patterns)
+            allocated = left_sum(p.weight for p in patterns)
             classes[aggregate.class_key] = ClassPlan(
                 aggregate=aggregate,
                 patterns=patterns,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.errors import PlanError
 from repro.stats.aggregate import AggregateRequest, ClassKey
 from repro.substrate.network import LinkId, NodeId
+from repro.utils.fold import left_sum
 
 VLinkKey = tuple[int, int]
 
@@ -57,7 +58,7 @@ class ClassPlan:
 
     @property
     def allocated_fraction(self) -> float:
-        return sum(p.weight for p in self.patterns)
+        return left_sum(p.weight for p in self.patterns)
 
     @property
     def class_key(self) -> ClassKey:
@@ -92,15 +93,15 @@ class Plan:
         return sum(len(cp.patterns) for cp in self.classes.values())
 
     def total_guaranteed_demand(self) -> float:
-        return sum(cp.guaranteed_demand() for cp in self.classes.values())
+        return left_sum(cp.guaranteed_demand() for cp in self.classes.values())
 
     def mean_rejected_fraction(self) -> float:
         """Demand-weighted mean planned rejection across classes."""
-        total = sum(cp.aggregate.demand for cp in self.classes.values())
+        total = left_sum(cp.aggregate.demand for cp in self.classes.values())
         if total == 0:
             return 0.0
         return (
-            sum(
+            left_sum(
                 cp.rejected_fraction * cp.aggregate.demand
                 for cp in self.classes.values()
             )

@@ -11,7 +11,6 @@ from repro.scenarios.events import (
     DISRUPTION_POLICIES,
     CapacityDegradation,
     Event,
-    EventCursor,
     EventSchedule,
     FlashCrowd,
     IngressMigration,
@@ -19,7 +18,6 @@ from repro.scenarios.events import (
     LinkRecovery,
     NodeDrain,
     NodeRestore,
-    apply_and_resolve,
     apply_capacity_events,
     resolve_disruptions,
 )
@@ -28,7 +26,6 @@ __all__ = [
     "CapacityDegradation",
     "DISRUPTION_POLICIES",
     "Event",
-    "EventCursor",
     "EventSchedule",
     "FlashCrowd",
     "IngressMigration",
@@ -36,7 +33,6 @@ __all__ = [
     "LinkRecovery",
     "NodeDrain",
     "NodeRestore",
-    "apply_and_resolve",
     "apply_capacity_events",
     "resolve_disruptions",
 ]

@@ -13,10 +13,11 @@ two shapes:
   substrate and drops only what no longer fits. Both engines (the
   incremental fast path and :mod:`repro.core.greedy_reference`) share
   this exact code path, so the differential oracle applies unchanged.
-* **Workload events** (flash crowds, ingress migrations) deterministically
-  transform the online request stream *before* the run starts, so every
-  compared algorithm sees the identical perturbed trace — the paper's
-  same-trace methodology.
+* **Workload events** (flash crowds, ingress migrations) perturb the
+  online request stream deterministically: a session schedules the
+  flash crowds' requests with its seed arrivals and re-homes every
+  arrival a migration covers, so every compared algorithm sees the
+  identical perturbed trace — the paper's same-trace methodology.
 
 All events of one slot are applied atomically: stranding is resolved once
 per slot, after the last event. A failure followed by a recovery in the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.residual import EPSILON
 from repro.errors import SimulationError
@@ -226,15 +227,11 @@ class EventSchedule:
         self._capacity_by_slot = {
             slot: tuple(batch) for slot, batch in capacity_by_slot.items()
         }
-        #: Workload-shaped events (flash crowds, migrations): consumed by
-        #: :meth:`transform_requests` before the run, not slot-by-slot.
+        #: Workload-shaped events (flash crowds, migrations): applied as
+        #: a session schedules its arrivals, not slot-by-slot.
         self.num_workload_events = len(self._migrations) + sum(
             1 for event in self.events if isinstance(event, FlashCrowd)
         )
-        # One (input, output) pair: run_single simulates several
-        # algorithms over the same request list, so the transform of the
-        # shared stream is computed once, not once per algorithm.
-        self._transform_cache: tuple[list[Request], list[Request]] | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -258,18 +255,14 @@ class EventSchedule:
             last = max(last, max(r.arrival for r in self._injected))
         return last
 
+    @property
+    def injected(self) -> tuple[Request, ...]:
+        """The flash crowds' requests, in schedule order."""
+        return tuple(self._injected)
+
     def capacity_events_at(self, slot: int) -> tuple[Event, ...]:
         """The slot's capacity events, in schedule order."""
         return self._capacity_by_slot.get(slot, ())
-
-    def cursor(self) -> "EventCursor":
-        """A resumable read position over this schedule's capacity events.
-
-        The streaming session consumes events through a cursor so a
-        checkpoint can record exactly how far the schedule has been
-        applied (see :class:`EventCursor`).
-        """
-        return EventCursor(self)
 
     def with_policy(self, policy: str) -> "EventSchedule":
         """A copy of this schedule under a different disruption policy."""
@@ -355,10 +348,9 @@ class EventSchedule:
     def apply_migrations(self, request: Request) -> Request:
         """One request with any matching ingress migrations applied.
 
-        The identical per-request rewrite :meth:`transform_requests`
-        performs on the seed stream — used by the streaming session so
-        an ad-hoc ``submit()`` arrival is re-homed exactly like a trace
-        arrival in the same window would have been. Returns the input
+        The streaming session applies it to every arrival it schedules
+        or is handed mid-slot — seed, flash-crowd or ``submit()``ted
+        alike — so each is re-homed the same way. Returns the input
         unchanged when no migration matches.
         """
         for migration in self._migrations:
@@ -370,30 +362,6 @@ class EventSchedule:
                     request, ingress=migration.target
                 )
         return request
-
-    def transform_requests(self, requests: list[Request]) -> list[Request]:
-        """Apply the workload events to the online stream, deterministically.
-
-        Ingress migrations rewrite matching arrivals; flash-crowd bursts
-        are merged in. The result is re-sorted by ``(arrival, id)`` so it
-        remains a valid ON-VNE processing order.
-        """
-        if not self._migrations and not self._injected:
-            return requests
-        cached = self._transform_cache
-        if cached is not None and cached[0] is requests:
-            return cached[1]
-        transformed = [self.apply_migrations(request) for request in requests]
-        transformed.extend(self._injected)
-        transformed.sort()
-        self._transform_cache = (requests, transformed)
-        return transformed
-
-    def __getstate__(self) -> dict[str, Any]:
-        # The memo holds the whole seed trace twice over (input and
-        # output list); a session transforms at construction only, so a
-        # checkpoint leaves it behind.
-        return {**self.__dict__, "_transform_cache": None}
 
     def validate(
         self, substrate: SubstrateNetwork, num_apps: int | None = None
@@ -458,48 +426,6 @@ class EventSchedule:
         )
 
 
-class EventCursor:
-    """A resumable read position over a schedule's capacity events.
-
-    The schedule itself is immutable and randomly addressable
-    (:meth:`EventSchedule.capacity_events_at`); what a *run* needs on top
-    is a record of how far it has consumed the schedule — which slot
-    comes next and how many capacity events have been applied (the
-    ``num_events`` accounting). The cursor rides the session's pickle,
-    so a restored session resumes from exactly this position.
-    """
-
-    __slots__ = ("schedule", "next_slot", "consumed")
-
-    def __init__(self, schedule: EventSchedule) -> None:
-        self.schedule = schedule
-        self.next_slot = 0
-        self.consumed = 0
-
-    def advance(self, slot: int) -> tuple[Event, ...]:
-        """Consume and return the capacity events of ``slot``.
-
-        Slots must be consumed in order, each exactly once — rewinding or
-        skipping would desynchronize the residual state from the
-        schedule, so both fail fast.
-        """
-        if slot != self.next_slot:
-            raise SimulationError(
-                f"event cursor expected slot {self.next_slot}, "
-                f"got {slot}; slots must be consumed in order"
-            )
-        events = self.schedule.capacity_events_at(slot)
-        self.next_slot = slot + 1
-        self.consumed += len(events)
-        return events
-
-    def __repr__(self) -> str:
-        return (
-            f"EventCursor(next_slot={self.next_slot}, "
-            f"consumed={self.consumed} of {self.schedule!r})"
-        )
-
-
 # -- application --------------------------------------------------------------
 
 
@@ -520,19 +446,6 @@ def apply_capacity_events(
             else:
                 changed = residual.set_link_capacity(element, capacity) or changed
     return changed
-
-
-def apply_and_resolve(
-    algorithm: LedgerAlgorithm, events: tuple[Event, ...], policy: str
-) -> list[Request]:
-    """One slot's capacity events against a residual-tracking algorithm.
-
-    What :meth:`LedgerAlgorithm.apply_events` is — mutate the residual,
-    then resolve whatever the cuts stranded. Returns the dropped requests.
-    """
-    if not apply_capacity_events(algorithm.residual, events):
-        return []
-    return resolve_disruptions(algorithm, policy)
 
 
 def resolve_disruptions(

@@ -52,6 +52,7 @@ from repro.sim.session import (
     dump_checkpoint,
     load_checkpoint,
 )
+from repro.utils.fold import left_sum
 from repro.workload.request import Request
 
 
@@ -162,10 +163,10 @@ class EmbedderService:
         residual = getattr(self.session.algorithm, "residual", None)
         if residual is None:
             return 0.0
-        total = sum(residual.node_capacity)
+        total = left_sum(residual.node_capacity)
         if total <= 0:
             return 0.0
-        return max(0.0, 1.0 - sum(residual.node_residual) / total)
+        return max(0.0, 1.0 - left_sum(residual.node_residual) / total)
 
     # -- the admission API ---------------------------------------------------
 

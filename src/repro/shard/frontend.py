@@ -69,6 +69,7 @@ from repro.shard.worker import (
 from repro.sim.engine import SimulationResult
 from repro.sim.session import SimulationSession
 from repro.substrate.network import LinkId, NodeId
+from repro.utils.fold import left_sum
 from repro.workload.request import Request
 
 
@@ -107,8 +108,8 @@ class ShardedEmbedderService:
     zero IPC, for deterministic tests and debugging). Both are
     decision-identical. ``checkpoint_every`` checkpoints every worker
     at every N-th slot boundary (0 disables; disable for pure
-    throughput benchmarking). ``cross_shard=False`` turns off the
-    two-phase retry, leaving pure partitioned serving.
+    throughput benchmarking). A request its home shard rejects gets
+    one two-phase retry on the neighbouring shards.
     """
 
     def __init__(
@@ -122,7 +123,6 @@ class ShardedEmbedderService:
         admission_params: dict | None = None,
         metrics_window: int = 512,
         checkpoint_every: int = 1,
-        cross_shard: bool = True,
     ) -> None:
         if workers not in ("process", "inline"):
             raise ShardError(
@@ -149,7 +149,6 @@ class ShardedEmbedderService:
             seed=scenario.seed,
         )
         self.ledger = self.partition.make_ledger()
-        self.cross_shard = cross_shard
         self.checkpoint_every = checkpoint_every
         self._worker_kind = workers
         self._clock = 0
@@ -280,7 +279,7 @@ class ShardedEmbedderService:
                 decisions[index] = decision
 
         # Phase: two-phase cross-shard resolve, in offer order.
-        if self.cross_shard and self.num_shards > 1:
+        if self.num_shards > 1:
             for index, decision in enumerate(decisions):
                 if decision.accepted:
                     continue
@@ -293,7 +292,7 @@ class ShardedEmbedderService:
     def _crossing_load(self, request: Request, link_attrs) -> float:
         """Boundary capacity a re-homed request occupies on one link."""
         efficiency = self.scenario.efficiency
-        return sum(
+        return left_sum(
             request.demand * vlink.size * efficiency.link_eta(
                 vlink, link_attrs
             )

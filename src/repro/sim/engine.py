@@ -16,13 +16,13 @@ Both expose ``release(request)``, ``active_demand()`` and
 ``active_cost_per_slot()``. Algorithms that support capacity events
 additionally expose ``apply_events(t, events, policy) → list[Request]``
 (the requests dropped by the disruption policy); workload events (flash
-crowds, ingress migrations) need no algorithm support — they transform
-the request stream before the run starts.
+crowds, ingress migrations) need no algorithm support — the session
+applies them to the request stream as it schedules it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,38 +48,30 @@ class SimulationResult:
     #: Wall-clock seconds spent inside the algorithm (runtime metric).
     runtime_seconds: float
 
-    # Derived fields: ``None`` means "compute from the primary fields" —
-    # an explicitly passed value (including an empty dict/set or 0) is
-    # kept as given, so callers can assert unusual shapes in tests.
-    #: request id → Decision, for per-request lookups.
-    decision_by_id: dict[int, Decision] | None = None
-    #: ids of requests that were preempted after acceptance.
-    preempted_ids: set[int] | None = None
-    #: Number of requests processed (== len(decisions)).
-    num_requests: int | None = None
     #: Accepted requests dropped by a dynamic event's disruption policy,
     #: with the slot it happened. A subset of :attr:`preemptions` — a
     #: disrupted request also counts as preempted (it never completed).
-    disruptions: list[tuple[Request, int]] | None = None
-    #: ids of requests dropped by dynamic events.
-    disrupted_ids: set[int] | None = None
+    disruptions: list[tuple[Request, int]] = field(default_factory=list)
     #: Number of dynamic events the schedule contributed to this run:
-    #: capacity events applied slot-by-slot plus workload events
-    #: (flash crowds, migrations) consumed when the request stream was
-    #: transformed before the run.
+    #: capacity events applied as their slots began plus the workload
+    #: events (flash crowds, migrations) applied to the request stream.
     num_events: int = 0
 
+    # Derived from the fields above, never passed in.
+    #: request id → Decision, for per-request lookups.
+    decision_by_id: dict[int, Decision] = field(init=False)
+    #: ids of requests that were preempted after acceptance.
+    preempted_ids: set[int] = field(init=False)
+    #: Number of requests processed (== len(decisions)).
+    num_requests: int = field(init=False)
+    #: ids of requests dropped by dynamic events.
+    disrupted_ids: set[int] = field(init=False)
+
     def __post_init__(self) -> None:
-        if self.decision_by_id is None:
-            self.decision_by_id = {d.request.id: d for d in self.decisions}
-        if self.preempted_ids is None:
-            self.preempted_ids = {r.id for r, _ in self.preemptions}
-        if self.num_requests is None:
-            self.num_requests = len(self.decisions)
-        if self.disruptions is None:
-            self.disruptions = []
-        if self.disrupted_ids is None:
-            self.disrupted_ids = {r.id for r, _ in self.disruptions}
+        self.decision_by_id = {d.request.id: d for d in self.decisions}
+        self.preempted_ids = {r.id for r, _ in self.preemptions}
+        self.num_requests = len(self.decisions)
+        self.disrupted_ids = {r.id for r, _ in self.disruptions}
 
     @property
     def slots_per_second(self) -> float:

@@ -18,8 +18,8 @@ as a first-class lifecycle:
   return each decision synchronously (``process(request)`` is a run of
   one);
 * ``snapshot()`` / :meth:`SimulationSession.restore` checkpoint and
-  resume mid-run state — algorithm residuals, pending arrivals, the
-  event cursor and all accumulated metrics;
+  resume mid-run state — algorithm residuals, pending arrivals and all
+  accumulated metrics;
 * ``result()`` assembles the exact
   :class:`~repro.sim.engine.SimulationResult` the batch engine returns.
 
@@ -65,7 +65,7 @@ from repro.errors import SimulationError
 from repro.workload.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios.events import EventCursor, EventSchedule
+    from repro.scenarios.events import EventSchedule
     from repro.sim.engine import SimulationResult
 
 
@@ -103,10 +103,12 @@ class SlotReport:
 
 
 #: First element of the header pickled ahead of a checkpoint's body.
-#: ``/3``: a slot's calendar lists are in the order their entries were
-#: added, sorted when the slot begins (``/2`` kept them sorted; ``/1``
-#: held every scheduled arrival's departure from the start).
-_SNAPSHOT_TAG = "repro.SessionSnapshot/3"
+#: ``/4``: the session counts the events it applied (``/3`` carried an
+#: event cursor). Since ``/3`` a slot's calendar lists keep the order
+#: their entries were added and are sorted when the slot begins (``/2``
+#: kept them sorted; ``/1`` held every scheduled arrival's departure from
+#: the start).
+_SNAPSHOT_TAG = "repro.SessionSnapshot/4"
 
 #: Processing order within a slot (Fig. 2), as a sort key: a stable sort
 #: on it puts equal keys in the order they were added, as inserting each
@@ -133,7 +135,7 @@ class SessionSnapshot:
     session.
 
     The payload is durable state — residuals, active set, pending
-    arrivals, event cursor, decision log, metric arrays, counters — plus
+    arrivals, decision log, metric arrays, counters — plus
     the small app-profile cache; no routing state outlives an embed, so
     a restored session decides identically.
 
@@ -256,10 +258,10 @@ class SimulationSession:
 
     ``requests`` seeds the scheduled arrivals (may be empty for a purely
     live session fed through :meth:`submit`/:meth:`process`); ``events``
-    is an optional :class:`~repro.scenarios.events.EventSchedule` whose
-    workload events transform the seed stream upfront and whose capacity
-    events are consumed slot-by-slot through a resumable
-    :class:`~repro.scenarios.events.EventCursor`.
+    is an optional :class:`~repro.scenarios.events.EventSchedule`. Its
+    flash crowds are scheduled with the seed arrivals, its migrations
+    re-home every arrival in their window, and its capacity events are
+    applied as their slots begin.
     """
 
     def __init__(
@@ -274,7 +276,6 @@ class SimulationSession:
                 f"session needs a positive horizon (got {num_slots} slots)"
             )
         self.algorithm = algorithm
-        requests = requests if isinstance(requests, list) else list(requests)
         if events is not None and not events.is_empty:
             # Fail fast on events referencing unknown substrate elements —
             # a bad schedule should not die mid-run with a raw KeyError.
@@ -284,14 +285,6 @@ class SimulationSession:
                 events.validate(
                     substrate, None if apps is None else len(apps)
                 )
-            # Workload events rewrite the stream deterministically before
-            # the run; every compared algorithm sees the identical
-            # perturbed trace (the paper's same-trace methodology). The
-            # input is not mutated, and the schedule memoizes the
-            # transform per input list (identity-keyed — which is why the
-            # caller's list goes in as-is), so simulating several
-            # algorithms over one stream pays for it once.
-            requests = events.transform_requests(requests)
             if events.has_capacity_events and not hasattr(
                 algorithm, "apply_events"
             ):
@@ -324,18 +317,19 @@ class SimulationSession:
         # sorts them. A departure is booked when its request is decided.
         self._arrivals_by_slot: dict[int, list[Request]] = {}
         self._departures_by_slot: dict[int, list[Request]] = {}
+        self._pending_arrivals = 0
+        # The flash crowds join the seed stream: every compared algorithm
+        # sees the identical perturbed trace (the paper's same-trace
+        # methodology), in (arrival, id) order once each slot begins.
         for request in requests:
-            self._arrivals_by_slot.setdefault(request.arrival, []).append(
-                request
-            )
-        self._pending_arrivals = len(requests)
+            self._schedule(request)
+        if self.events is not None:
+            for request in self.events.injected:
+                self._schedule(request)
 
         self._clock = 0
         self._slot_open = False
         self._is_batch = hasattr(algorithm, "run_slot")
-        self._event_cursor: "EventCursor | None" = (
-            self.events.cursor() if self.events is not None else None
-        )
 
         # Accumulated run state (what result() assembles).
         self._decisions: list[Decision] = []
@@ -345,9 +339,9 @@ class SimulationSession:
         self._sealed_decisions = 0
         self._preemptions: list[tuple[Request, int]] = []
         self._disruptions: list[tuple[Request, int]] = []
-        # Workload events were already consumed transforming the seed
-        # stream above; capacity events add to the tally as slots open.
-        self._num_workload_events = (
+        # Workload events were applied scheduling the stream above;
+        # capacity events add to the tally as their slots begin.
+        self._num_events = (
             self.events.num_workload_events if self.events is not None else 0
         )
         self._requested = np.zeros(num_slots)
@@ -401,12 +395,10 @@ class SimulationSession:
         part of the seed trace: it is processed in ``(arrival, id)``
         order within its slot, its departure releases capacity like any
         other, and an attached schedule's ingress migrations re-home it
-        just like they rewrote the seed stream. The target slot must not
-        have begun yet — arrivals for the currently open slot go through
+        just like the seed stream's. The target slot must not have begun
+        yet — arrivals for the currently open slot go through
         :meth:`process_many` instead.
         """
-        if self.events is not None:
-            request = self.events.apply_migrations(request)
         if request.arrival >= self.num_slots:
             raise SimulationError(
                 f"request {request.id} arrives at {request.arrival}, "
@@ -421,6 +413,13 @@ class SimulationSession:
                 + ("begun" if self._slot_open else "passed")
                 + "; submit() admits future slots only"
             )
+        self._schedule(request)
+
+    def _schedule(self, request: Request) -> None:
+        """Put an arrival on its slot's calendar, re-homed by the
+        schedule's ingress migrations: the one way onto the calendar."""
+        if self.events is not None:
+            request = self.events.apply_migrations(request)
         self._arrivals_by_slot.setdefault(request.arrival, []).append(request)
         self._pending_arrivals += 1
 
@@ -460,12 +459,13 @@ class SimulationSession:
         start = time.perf_counter()  # repro-lint: allow[RPR003] feeds SlotReport.runtime -> slots_per_second/requests_per_second, key-only in goldens
         for request in self._slot_departures:
             release(request)
-        if self._event_cursor is not None:
-            slot_events = self._event_cursor.advance(t)
+        if self.events is not None:
+            slot_events = self.events.capacity_events_at(t)
             if slot_events:
                 self._slot_events = len(slot_events)
+                self._num_events += len(slot_events)
                 dropped = algorithm.apply_events(
-                    t, slot_events, self._event_cursor.schedule.policy
+                    t, slot_events, self.events.policy
                 )
                 for request in dropped:
                     self._disruptions.append((request, t))
@@ -666,9 +666,6 @@ class SimulationSession:
             )
         from repro.sim.engine import SimulationResult
 
-        num_events = self._num_workload_events
-        if self._event_cursor is not None:
-            num_events += self._event_cursor.consumed
         return SimulationResult(
             algorithm_name=self.algorithm.name,
             num_slots=self.num_slots,
@@ -679,7 +676,7 @@ class SimulationSession:
             resource_cost=self._resource_cost.copy(),
             runtime_seconds=self._runtime,
             disruptions=list(self._disruptions),
-            num_events=num_events,
+            num_events=self._num_events,
         )
 
     # -- checkpoint / resume -------------------------------------------------
@@ -689,8 +686,8 @@ class SimulationSession:
 
         The session is pickled once, here; the snapshot holds the bytes.
         Everything the run depends on is captured by value — algorithm
-        residuals, pending arrivals, the event cursor, accumulated
-        decisions and metric arrays — so restoring and continuing is
+        residuals, pending arrivals, accumulated decisions, metric arrays
+        and counters — so restoring and continuing is
         bit-identical to never having stopped. Decisions already sealed
         by an earlier checkpoint are not pickled again (see
         :meth:`__getstate__`). Snapshots are only available between

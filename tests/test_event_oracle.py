@@ -554,8 +554,7 @@ class TestSnapshotPayload:
         checkpoint carries. The classes audited are whatever the walk
         finds, and a restored checkpoint holds no request that its log,
         its calendars, its ledger or the flash crowd itself does not
-        account for — the schedule's memo of the transformed trace (the
-        seed trace twice over) stays behind."""
+        account for: nothing holds the seed trace twice over."""
         scenario = _session_scenario("OLIVE")
         slots = scenario.config.online_slots
         schedule = resolve_events("flash-crowd", scenario, 21)
@@ -575,7 +574,7 @@ class TestSnapshotPayload:
         assert len(reached) >= 30
         assert reached >= {
             "GreedyContext", "AppProfile", "LoadsRecipe", "TokenBucket",
-            "EventSchedule", "EventCursor", "Plan", "SubstrateIndex",
+            "EventSchedule", "Plan", "SubstrateIndex",
             "Decision", "_ActiveAllocation",
         }
 

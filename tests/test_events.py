@@ -1,7 +1,7 @@
 """Unit tests for the dynamic-event subsystem (repro.scenarios.events).
 
 Covers the residual-state capacity mutations, schedule assembly and
-workload transforms, the preempt/reroute disruption policies on a
+workload events, the preempt/reroute disruption policies on a
 hand-computable substrate, SLOTOFF's substrate-override handling, the
 registered profiles, and the ``Experiment.events`` facade hook. The
 fast-vs-reference bit-identity of event runs lives in
@@ -168,7 +168,9 @@ class TestEventSchedule:
         with pytest.raises(SimulationError, match="app_index 5"):
             bad_app.validate(line_substrate, num_apps=2)
 
-    def test_transform_rewrites_migrated_ingresses(self):
+    def test_session_rehomes_migrated_seed_arrivals(
+        self, line_substrate, chain_app
+    ):
         requests = [
             Request(arrival=t, id=t, app_index=0, ingress="edge-a",
                     demand=1.0, duration=2)
@@ -178,28 +180,44 @@ class TestEventSchedule:
             [IngressMigration(slot=2, source="edge-a", target="edge-b",
                               until=4)]
         )
-        moved = schedule.transform_requests(requests)
-        assert [r.ingress for r in moved] == [
+        decisions = simulate(
+            make_quickg(line_substrate, [chain_app]), requests, 8,
+            events=schedule,
+        ).decisions
+        assert [d.request.ingress for d in decisions] == [
             "edge-a", "edge-a", "edge-b", "edge-b", "edge-a", "edge-a"
         ]
         # Untouched fields survive the rewrite.
-        assert [r.id for r in moved] == [r.id for r in requests]
+        assert [d.request.id for d in decisions] == [r.id for r in requests]
 
-    def test_transform_merges_flash_crowd_sorted(self):
+    def test_flash_crowd_is_decided_in_order_among_the_seed(
+        self, line_substrate, chain_app
+    ):
         base = [
-            Request(arrival=3, id=1, app_index=0, ingress="edge-a",
+            Request(arrival=arrival, id=rid, app_index=0, ingress="edge-a",
                     demand=1.0, duration=1)
+            for arrival, rid in ((1, 5), (3, 1), (1, 1_000_000_001))
         ]
-        extra = (
-            Request(arrival=1, id=1_000_000_000, app_index=0,
-                    ingress="edge-b", demand=2.0, duration=1),
+        extra = tuple(
+            Request(arrival=arrival, id=rid, app_index=0, ingress="edge-b",
+                    demand=2.0, duration=1)
+            for arrival, rid in ((3, 0), (1, 1_000_000_000), (1, 2))
         )
         schedule = EventSchedule([FlashCrowd(slot=1, requests=extra)])
-        merged = schedule.transform_requests(base)
-        assert [r.arrival for r in merged] == [1, 3]
-        assert merged[0].id == 1_000_000_000
+        decisions = simulate(
+            make_quickg(line_substrate, [chain_app]), base, 5,
+            events=schedule,
+        ).decisions
+        assert [(d.request.arrival, d.request.id) for d in decisions] == [
+            (1, 2), (1, 5), (1, 1_000_000_000), (1, 1_000_000_001),
+            (3, 0), (3, 1),
+        ]
 
-    def test_transform_is_memoized_per_input_list(self):
+    def test_sessions_over_one_stream_see_one_perturbed_trace(
+        self, line_substrate, chain_app
+    ):
+        """Each session applies the schedule as it schedules the stream;
+        the caller's list is left as it was."""
         base = [
             Request(arrival=2, id=1, app_index=0, ingress="edge-a",
                     demand=1.0, duration=1)
@@ -208,9 +226,16 @@ class TestEventSchedule:
             [IngressMigration(slot=0, source="edge-a", target="edge-b",
                               until=9)]
         )
-        first = schedule.transform_requests(base)
-        assert schedule.transform_requests(base) is first  # same input list
-        assert schedule.transform_requests(list(base)) is not first
+        first, second = (
+            simulate(
+                make_quickg(line_substrate, [chain_app]), base, 4,
+                events=schedule,
+            ).decisions
+            for _ in range(2)
+        )
+        assert first == second
+        assert first[0].request.ingress == "edge-b"
+        assert base[0].ingress == "edge-a"
 
     def test_empty_schedule_is_empty(self):
         assert EventSchedule([]).is_empty

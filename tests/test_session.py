@@ -4,8 +4,8 @@ The bit-identity of step-driven and checkpoint/restored sessions versus
 the batch engine — for every algorithm × event profile — is pinned by
 the differential oracle in ``tests/test_event_oracle.py``; this module
 covers the lifecycle mechanics: slot open/close rules, ad-hoc
-submission, partial results, snapshot semantics, and the resumable
-event cursor.
+submission, partial results, snapshot semantics, and the one scheduling
+path seed, flash-crowd and submitted arrivals share.
 """
 
 import gc
@@ -28,6 +28,8 @@ from repro.scenarios.events import (
     IngressMigration,
     LinkFailure,
     LinkRecovery,
+    NodeDrain,
+    NodeRestore,
 )
 from repro.sim.engine import simulate
 from repro.sim.session import SessionSnapshot, SimulationSession
@@ -377,13 +379,15 @@ class TestSnapshot:
         with pytest.raises(SimulationError, match="checkpoint"):
             SessionSnapshot.from_bytes(payload)
 
-    def test_from_bytes_refuses_the_previous_format(self, session):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_from_bytes_refuses_a_previous_format(self, session, version):
         """A ``/1`` checkpoint's calendar already holds the departures of
-        arrivals not yet decided; loading it would book them twice."""
+        arrivals not yet decided; loading it would book them twice. A
+        ``/3`` one carries an event cursor, a class that is gone."""
         session.run_until(3)
         body = pickle.dumps(session, protocol=pickle.HIGHEST_PROTOCOL)
         header = pickle.dumps(
-            ("repro.SessionSnapshot/1", 3, "QUICKG", len(body)),
+            (f"repro.SessionSnapshot/{version}", 3, "QUICKG", len(body)),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         with pytest.raises(SimulationError, match="checkpoint"):
@@ -602,6 +606,72 @@ class TestSessionEvents:
         assert result.decision_by_id[7].request.ingress == "edge-b"
         assert live.request.ingress == "edge-a"  # outside the window
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_split_between_constructor_and_submit_is_one_stream(
+        self, line_substrate, chain_app, seed
+    ):
+        """Seed arrivals, submitted ones and a flash crowd take one path
+        onto the calendar: however the stream is split between the
+        constructor and ``submit()`` — before the run, or after a
+        checkpoint is restored — the slots report the same as when the
+        constructor gets it all, and so does the event count."""
+        rng = random.Random(seed)
+        schedule = EventSchedule(
+            [
+                IngressMigration(slot=2, source="edge-a", target="edge-b",
+                                 until=6),
+                FlashCrowd(slot=3, requests=tuple(
+                    _request(1000 + i, arrival=3 + i % 3, demand=60.0,
+                             duration=3, ingress="edge-a")
+                    for i in range(6)
+                )),
+                NodeDrain(slot=4, node="core"),
+                NodeRestore(slot=6, node="core"),
+            ],
+        )
+        stream = [
+            _request(i, arrival=rng.randrange(8),
+                     demand=rng.choice((5.0, 20.0, 50.0)),
+                     duration=rng.randint(1, 5),
+                     ingress=rng.choice(("edge-a", "edge-b")))
+            for i in range(40)
+        ]
+
+        def quickg():
+            return make_quickg(line_substrate, [chain_app])
+
+        def key(report):  # all but the wall-clock
+            return replace(report, runtime_seconds=0.0)
+
+        whole = SimulationSession(quickg(), stream, 8, events=schedule)
+        expected = [key(report) for report in whole]
+        decided = [d for report in expected for d in report.decisions]
+        assert any(d.request.id >= 1000 for d in decided)
+        assert any(
+            d.request.ingress != r.ingress
+            for d in decided for r in stream if d.request.id == r.id
+        )
+        assert any(not d.accepted for d in decided)
+        assert any(report.disrupted for report in expected)
+
+        half = rng.randint(1, 7)
+        parts: list[list[Request]] = [[], [], []]
+        for request in stream:
+            parts[rng.randrange(3 if request.arrival >= half else 2)].append(
+                request
+            )
+        seeded, early, late = parts
+        session = SimulationSession(quickg(), seeded, 8, events=schedule)
+        for request in early:
+            session.submit(request)
+        reports = [key(report) for report in session.run_until(half)]
+        resumed = SimulationSession.restore(session.snapshot())
+        for request in rng.sample(late, len(late)):
+            resumed.submit(request)
+        reports += [key(report) for report in resumed]
+        assert reports == expected
+        assert resumed.result().num_events == whole.result().num_events == 4
+
     def test_flash_crowd_of_an_unknown_app_fails_fast(
         self, line_substrate, chain_app
     ):
@@ -622,25 +692,6 @@ class TestSessionEvents:
                 make_quickg(line_substrate, [chain_app]), [], 3,
                 events=schedule,
             )
-
-
-class TestEventCursor:
-    def test_in_order_consumption(self, line_substrate):
-        link = next(iter(line_substrate.links))
-        schedule = EventSchedule([LinkFailure(slot=1, link=link)])
-        cursor = schedule.cursor()
-        assert cursor.advance(0) == ()
-        assert len(cursor.advance(1)) == 1
-        assert (cursor.next_slot, cursor.consumed) == (2, 1)
-
-    def test_rewind_and_skip_fail(self, line_substrate):
-        link = next(iter(line_substrate.links))
-        cursor = EventSchedule([LinkFailure(slot=1, link=link)]).cursor()
-        cursor.advance(0)
-        with pytest.raises(SimulationError, match="in order"):
-            cursor.advance(0)
-        with pytest.raises(SimulationError, match="in order"):
-            cursor.advance(2)
 
 
 def _unsorted(calendar) -> bool:

@@ -21,7 +21,6 @@ from repro.shard import (
     BoundaryLedger,
     InlineShardWorker,
     ProcessShardWorker,
-    ShardedEmbedderService,
     partition_substrate,
     restrict_plan,
 )
@@ -332,20 +331,6 @@ class TestCrossShard:
             final = service.cross_shard_stats()
             assert final["ledger_released"] == final["ledger_committed"]
             assert service.ledger.outstanding == 0
-
-    def test_cross_shard_can_be_disabled(self):
-        config = _config()
-        scenario, _ = (
-            Experiment(config)
-            .algorithms("QUICKG")
-            ._streaming_scenario("QUICKG", 0)
-        )
-        service = ShardedEmbedderService(
-            scenario, "QUICKG", 2, workers="inline", cross_shard=False
-        )
-        with service:
-            service.offer_many(self._saturating_requests(service))
-            assert service.cross_shard_stats()["attempts"] == 0
 
 
 # -- merged metrics ------------------------------------------------------------

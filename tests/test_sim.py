@@ -122,31 +122,6 @@ class TestSimulationResult:
         assert result.disruptions == []
         assert result.disrupted_ids == set()
 
-    def test_explicit_empty_derived_fields_are_kept(self):
-        """Passing empty containers (or 0) must not trigger recomputation —
-        the falsy values are legitimate, not 'please derive' sentinels."""
-        requests = [_request(1)]
-        decisions = [Decision(request=requests[0], accepted=True)]
-        result = SimulationResult(
-            algorithm_name="X",
-            num_slots=4,
-            decisions=decisions,
-            preemptions=[(requests[0], 2)],
-            requested_demand=np.zeros(4),
-            allocated_demand=np.zeros(4),
-            resource_cost=np.zeros(4),
-            runtime_seconds=0.0,
-            decision_by_id={},
-            preempted_ids=set(),
-            num_requests=0,
-            disruptions=[],
-            disrupted_ids=set(),
-        )
-        assert result.decision_by_id == {}
-        assert result.preempted_ids == set()
-        assert result.num_requests == 0
-        assert result.disrupted_ids == set()
-
     def test_throughput_zero_on_zero_runtime(self):
         result = _result_from_decisions(
             [Decision(request=_request(1), accepted=True)]
